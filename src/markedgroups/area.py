@@ -299,7 +299,6 @@ def _cat_reduce(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _single_conjugates(pres: Presentation, conj_cap: int) -> frozenset[tuple[int, ...]]:
     """All reduced u r^(+-1) u^-1 with |u| <= conj_cap."""
     out: set[tuple[int, ...]] = set()
@@ -312,14 +311,21 @@ def _single_conjugates(pres: Presentation, conj_cap: int) -> frozenset[tuple[int
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _products(pres: Presentation, conj_cap: int, k: int) -> frozenset[tuple[int, ...]]:
+@lru_cache(maxsize=1)
+def _product_tables(pres: Presentation, conj_cap: int) -> dict[int, frozenset[tuple[int, ...]]]:
+    """Product sets by k for one (presentation, conj_cap) pair, filled by :func:`_products`.
+
+    Only the latest pair is kept: repeated calls on one presentation reuse
+    its tables, and memory never exceeds what a single call needs.
+    """
+    return {1: _single_conjugates(pres, conj_cap)}
+
+
+def _products(products: dict[int, frozenset[tuple[int, ...]]], k: int) -> frozenset[tuple[int, ...]]:
     """Products of exactly k bounded conjugates, as reduced tuples."""
-    if k == 1:
-        return _single_conjugates(pres, conj_cap)
-    smaller = _products(pres, conj_cap, k - 1)
-    singles = _single_conjugates(pres, conj_cap)
-    return frozenset(_cat_reduce(x, y) for x in smaller for y in singles)
+    if k not in products:
+        products[k] = frozenset(_cat_reduce(x, y) for x in _products(products, k - 1) for y in products[1])
+    return products[k]
 
 
 def area_exact_small(pres: Presentation, w: Word, k_max: int, conj_cap: int) -> int | None:
@@ -340,15 +346,16 @@ def area_exact_small(pres: Presentation, w: Word, k_max: int, conj_cap: int) -> 
     target = w.letters
     if not target:
         return 0
+    products = _product_tables(pres, conj_cap)
     for k in range(1, k_max + 1):
         kb = k // 2
         ka = k - kb
-        left = _products(pres, conj_cap, ka)
+        left = _products(products, ka)
         if kb == 0:
             if target in left:
                 return k
             continue
-        right = _products(pres, conj_cap, kb)
+        right = _products(products, kb)
         for y in right:
             if _cat_reduce(target, invert_letters(y)) in left:
                 return k

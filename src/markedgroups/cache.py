@@ -3,7 +3,10 @@
 Keys hash the canonical presentation text, the oracle spec, the
 operation name, its parameters and the tool version, so a version bump
 or any input change is a clean miss.  Hits return the stored payload
-verbatim, which keeps warm and cold runs byte-identical.
+verbatim, which keeps warm and cold runs byte-identical.  Entries are
+written to a temporary file and renamed into place, so readers never see
+a half-written entry; an entry that still cannot be read or decoded is a
+miss and is recomputed.
 """
 
 from __future__ import annotations
@@ -42,15 +45,21 @@ class ResultCache:
     def get(self, key: str):
         if not self.enabled:
             return None
-        path = self._path(key)
-        if not path.exists():
+        try:
+            return json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
 
     def put(self, key: str, payload) -> None:
         if not self.enabled:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._path(key).write_text(
-            json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
+        path = self._path(key)
+        # One temporary name per process, so concurrent writers never share it.
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

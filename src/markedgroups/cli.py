@@ -104,8 +104,12 @@ def _parse_indices(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+        indices = list(range(int(lo), int(hi) + 1))
+    else:
+        indices = [int(part) for part in text.split(",") if part.strip()]
+    if not indices:
+        raise ValueError(f"--i {text!r} selects no index; give a range lo..hi with lo <= hi or a list")
+    return indices
 
 
 def _parse_radii(text: str) -> list[int]:

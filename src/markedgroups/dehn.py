@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle, UnknownVerdictError
-from .presentations import Presentation, max_relator_length
+from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance
-from .words import Word, shell
+from .words import Word, invert_letters, letter_key, shell
 
 __all__ = [
     "DehnValue",
@@ -81,6 +81,29 @@ def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> int
         return -1
 
 
+def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Representatives of the symmetry orbits of ``words``, and each word's orbit index.
+
+    A representative is the length-lex least image of a word or of its
+    inverse under the splice symmetries; representatives are listed in
+    first-seen order.  Each symmetry becomes a table from a letter to the
+    :func:`letter_key` of its image, so images of one word compare in
+    length-lex order as plain tuples.
+    """
+    letters = [x for g in range(1, pres.ngens + 1) for x in (g, -g)]
+    key_maps = [
+        dict(zip(letters, map(letter_key, apply_symmetry(sym, letters))))
+        for sym in splice_symmetries(pres)
+    ]
+    orbit_index: dict[tuple, int] = {}
+    word_orbit = []
+    for w in words:
+        inverse = invert_letters(w)
+        key = min(tuple(map(keys.__getitem__, v)) for keys in key_maps for v in (w, inverse))
+        word_orbit.append(orbit_index.setdefault(key, len(orbit_index)))
+    return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
+
+
 def dehn(
     pres: Presentation,
     oracle: Oracle,
@@ -91,9 +114,19 @@ def dehn(
 ) -> DehnValue:
     """Enumerate the ball, filter trivial words, maximise their areas.
 
-    The per-word searches are independent, so they can fan out across
-    processes; results are reduced in enumeration order, which keeps the
-    outcome identical for any worker count.
+    Areas are searched once per symmetry orbit of trivial words.  Word
+    inversion and every signed generator permutation that maps the
+    symmetrized relators onto themselves (:func:`splice_symmetries`) map
+    the splice graph onto itself and keep word lengths, so all members of
+    an orbit have the same cap-restricted area; each word reads its value
+    from the orbit's length-lex least member.  ``caps.node_cap`` bounds
+    the search of that representative: orbit members have isomorphic
+    splice graphs, so their searches can differ only inside the final
+    breadth-first level.
+
+    The representative searches are independent, so they can fan out
+    across processes; results are reduced in enumeration order, which
+    keeps the outcome identical for any worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -108,14 +141,16 @@ def dehn(
                 trivial.append(letters)
     if not trivial:
         return DehnValue(n, 0, True, ())
+    reps, word_orbit = _orbits(pres, trivial)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(
-                pool.map(_area_value, [pres] * len(trivial), [caps] * len(trivial), trivial,
-                         chunksize=max(1, len(trivial) // (4 * workers)))
+            rep_values = list(
+                pool.map(_area_value, [pres] * len(reps), [caps] * len(reps), reps,
+                         chunksize=max(1, len(reps) // (4 * workers)))
             )
     else:
-        values = [_area_value(pres, caps, letters) for letters in trivial]
+        rep_values = [_area_value(pres, caps, letters) for letters in reps]
+    values = [rep_values[orbit] for orbit in word_orbit]
     for letters, value in zip(trivial, values):
         if value < 0:
             raise DehnComputationError(Word(pres.ngens, letters), pres, caps)

@@ -41,6 +41,8 @@ __all__ = [
     "parse_word",
     "max_relator_length",
     "symmetrize",
+    "splice_symmetries",
+    "apply_symmetry",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -327,3 +329,59 @@ def symmetrize(pres: Presentation) -> SymmetrizedRelators:
                     origin[move] = (idx, sign, t)
     moves = tuple(sorted(origin, key=lambda w: letters_key(w.letters)))
     return SymmetrizedRelators(moves, origin)
+
+
+# Bounds the maps tried per word in a Dehn sweep; all 384 signed permutations
+# of four generators fit.  See splice_symmetries.
+_SYMMETRY_LIMIT = 1024
+
+
+def splice_symmetries(pres: Presentation) -> tuple[tuple[int, ...], ...]:
+    """Signed generator permutations that map the symmetrized relators onto themselves.
+
+    A symmetry is the tuple of signed images of generators ``1..ngens``.
+    Each one maps splice edges to splice edges and keeps word lengths, so
+    it preserves cap-restricted areas.  Generators are assigned in index
+    order; a partial map is dropped as soon as a move whose generators
+    are all assigned has an image outside the move set.  The identity
+    comes first.  Enumeration stops after ``_SYMMETRY_LIMIT`` maps (only
+    reachable when few relators constrain many generators); callers that
+    take the least image under the maps found still stay in the orbit.
+    """
+    moves = {mv.letters for mv in symmetrize(pres).moves}
+    k = pres.ngens
+    # Moves are checked once their largest generator index is assigned.
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    for mv in moves:
+        checks[max(abs(x) for x in mv)].append(mv)
+    images = [0] * k
+    used = [False] * (k + 1)
+    found: list[tuple[int, ...]] = []
+
+    def extend(g: int) -> None:
+        if g > k:
+            found.append(tuple(images))
+            return
+        for h in range(1, k + 1):
+            if used[h]:
+                continue
+            used[h] = True
+            for image in (h, -h):
+                images[g - 1] = image
+                if all(apply_symmetry(images, mv) in moves for mv in checks[g]):
+                    extend(g + 1)
+                if len(found) >= _SYMMETRY_LIMIT:
+                    return
+            used[h] = False
+
+    extend(1)
+    return tuple(found)
+
+
+def apply_symmetry(sym, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of a raw letter tuple under a symmetry from :func:`splice_symmetries`.
+
+    ``sym[j - 1]`` is the image of generator ``j``; inverse letters map to
+    the inverse of that image.
+    """
+    return tuple(sym[x - 1] if x > 0 else -sym[-x - 1] for x in letters)

@@ -217,3 +217,31 @@ def test_exit_codes_stable_across_formats(pres_dir, capsys):
              "--format", fmt], capsys
         )
         assert code == 0
+
+
+@pytest.mark.parametrize("indices", ["5..3", " , "])
+def test_verify_theorem_rejects_empty_index_range(indices, capsys):
+    code, out, err = run_cli(
+        ["verify-theorem", "--family", "dihedral", "--i", indices, "--n", "4"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "selects no index" in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "empty"])
+def test_damaged_cache_entry_is_a_miss(damage, pres_dir, capsys):
+    cache_dir = pres_dir / "cache"
+    argv = ["dehn", "--family", "zxz", "--i", "4", "--n", "4", "--format", "json",
+            "--cache-dir", str(cache_dir)]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    text = entry.read_text(encoding="utf-8")
+    entry.write_text(text[: len(text) // 2] if damage == "truncate" else "", encoding="utf-8")
+    code, again, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert again == cold
+    # the recomputed entry replaced the damaged one
+    assert entry.read_text(encoding="utf-8") == text
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]

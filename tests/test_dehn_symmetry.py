@@ -1,0 +1,201 @@
+"""Orbit-reduced Dehn sweeps against the per-word reference.
+
+``dehn`` runs one area search per symmetry orbit of trivial words (word
+inversion plus the signed generator permutations that map the
+symmetrized relators onto themselves).  The reference below runs one
+search per trivial word, as the sweep did before the reduction.
+"""
+
+import importlib
+from itertools import permutations, product
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from markedgroups.area import AreaNotFound, Caps, area_search
+from markedgroups.dehn import DehnComputationError, DehnValue, dehn
+from markedgroups.families import get_family
+from markedgroups.oracles import build_oracle
+from markedgroups.presentations import (
+    apply_symmetry,
+    parse_presentation,
+    splice_symmetries,
+    symmetrize,
+)
+from markedgroups.words import Word, free_reduce, invert_letters, shell
+
+A3_PRES = (Path(__file__).parent / "data" / "a3.pres").read_text(encoding="utf-8")
+
+
+def _group(name):
+    """(presentation, oracle) for the test groups, by short name."""
+    if name.startswith("dihedral"):
+        return get_family("dihedral").member(int(name[len("dihedral"):]))
+    text, spec = {
+        "z2": ("gens: x y\nrels: [x,y]", "abelian:0,0"),
+        "zxz3": ("gens: x y\nrels: [x,y]; y^3", "abelian:0,3"),
+        "a3": (A3_PRES, "abelian:3"),
+        "z3": ("gens: a b c\nrels: [a,b]; [a,c]; [b,c]", "abelian:0,0,0"),
+    }[name]
+    pres = parse_presentation(text)
+    return pres, build_oracle(spec, pres)
+
+
+GROUPS = ["z2", "zxz3", "dihedral3", "dihedral4", "dihedral5", "dihedral6", "a3", "z3"]
+
+
+def reference_dehn(pres, oracle, n, caps, max_witnesses=8):
+    """One area search per trivial word, in enumeration order."""
+    trivial, values = [], []
+    for length in range(1, n + 1):
+        for letters in shell(pres.ngens, length):
+            w = Word(pres.ngens, letters)
+            if not oracle.decide(w).is_trivial:
+                continue
+            try:
+                value = area_search(pres, w, caps.length_cap, caps.node_cap).value
+            except AreaNotFound:
+                raise DehnComputationError(w, pres, caps) from None
+            trivial.append(w)
+            values.append(value)
+    if not trivial:
+        return DehnValue(n, 0, True, ())
+    vmax = max(values)
+    witnesses = tuple(w for w, v in zip(trivial, values) if v == vmax)[:max_witnesses]
+    return DehnValue(n, vmax, True, witnesses)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_orbit_reduced_dehn_matches_per_word_reference(name):
+    pres, oracle = _group(name)
+    longest = max(len(r) for r in pres.relators)
+    for n in (2, 4, 6):
+        caps = Caps(n + longest // 2, 10**6)
+        expected = reference_dehn(pres, oracle, n, caps)
+        for workers in (1, 2):
+            assert dehn(pres, oracle, n, caps, workers=workers) == expected, (name, n, workers)
+
+
+def test_cap_exhaustion_reports_the_same_word():
+    # x = x^3 * x^-2 needs an intermediate word of length 2
+    pres = parse_presentation("gens: x y\nrels: x^2; x^3; y^2; y^3")
+    oracle = build_oracle("coset", pres)
+    caps = Caps(1, 10**6)
+    with pytest.raises(DehnComputationError) as expected:
+        reference_dehn(pres, oracle, 1, caps)
+    for workers in (1, 2):
+        with pytest.raises(DehnComputationError) as got:
+            dehn(pres, oracle, 1, caps, workers=workers)
+        assert got.value.word == expected.value.word
+
+
+def test_one_search_per_orbit(monkeypatch):
+    searched = []
+
+    def counting_search(pres, w, length_cap, node_cap):
+        searched.append(w.letters)
+        return area_search(pres, w, length_cap, node_cap)
+
+    monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "area_search", counting_search)
+    pres, oracle = _group("z2")
+    counts = []
+    for n in (4, 6, 8):
+        searched.clear()
+        dehn(pres, oracle, n, Caps(10, 10**6))
+        assert len(set(searched)) == len(searched)
+        counts.append(len(searched))
+    # 8, 48 and 360 trivial words of positive length
+    assert counts == [1, 4, 29]
+
+
+def _moves(pres):
+    return {mv.letters for mv in symmetrize(pres).moves}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_found_maps_keep_the_move_set(name):
+    pres, _ = _group(name)
+    moves = _moves(pres)
+    found = splice_symmetries(pres)
+    assert found[0] == tuple(range(1, pres.ngens + 1))
+    assert len(set(found)) == len(found)
+    for sym in found:
+        assert {apply_symmetry(sym, mv) for mv in moves} == moves
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_found_maps_are_all_signed_permutations_that_keep_the_move_set(name):
+    pres, _ = _group(name)
+    moves = _moves(pres)
+    k = pres.ngens
+    everything = [
+        tuple(sign * gen for sign, gen in zip(signs, perm))
+        for perm in permutations(range(1, k + 1))
+        for signs in product((1, -1), repeat=k)
+    ]
+    keeping = {sym for sym in everything if {apply_symmetry(sym, mv) for mv in moves} == moves}
+    assert set(splice_symmetries(pres)) == keeping
+
+
+def test_symmetry_counts():
+    counts = {name: len(splice_symmetries(_group(name)[0])) for name in GROUPS}
+    assert counts == {
+        "z2": 8, "zxz3": 4, "dihedral3": 4, "dihedral4": 4, "dihedral5": 4,
+        "dihedral6": 4, "a3": 2, "z3": 48,
+    }
+
+
+def test_many_unconstrained_generators_stop_early():
+    names = " ".join(f"g{j}" for j in range(9))
+    pres = parse_presentation(f"gens: {names}\nrels: g0^2")
+    found = splice_symmetries(pres)
+    assert 0 < len(found) <= 1024
+    moves = _moves(pres)
+    for sym in found:
+        assert {apply_symmetry(sym, mv) for mv in moves} == moves
+
+
+# Property: inversion and every found map keep the cap-restricted area.
+
+HYPOTHESIS_GROUPS = ["z2", "zxz3", "dihedral3", "dihedral4", "a3", "z3"]
+MAX_WORD = 8
+
+
+@st.composite
+def trivial_words(draw):
+    """A group and a nonempty trivial word: a product of conjugated relators."""
+    name = draw(st.sampled_from(HYPOTHESIS_GROUPS))
+    pres, _ = _group(name)
+    letter = st.sampled_from([s * g for g in range(1, pres.ngens + 1) for s in (1, -1)])
+    factors = draw(st.lists(
+        st.tuples(st.lists(letter, max_size=2), st.sampled_from(pres.relators), st.booleans()),
+        min_size=1, max_size=3,
+    ))
+    letters = ()
+    for conj, rel, inverted in factors:
+        u = free_reduce(conj)
+        body = invert_letters(rel.letters) if inverted else rel.letters
+        letters = free_reduce(letters + u + body + invert_letters(u))
+    return name, pres, letters
+
+
+def _area(pres, letters, caps):
+    try:
+        return area_search(pres, Word(pres.ngens, letters), caps.length_cap, caps.node_cap).value
+    except AreaNotFound:
+        return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(trivial_words())
+def test_orbit_members_have_equal_area(case):
+    name, pres, letters = case
+    assume(0 < len(letters) <= MAX_WORD)
+    caps = Caps(len(letters) + 2, 10**6)
+    value = _area(pres, letters, caps)
+    assert _area(pres, invert_letters(letters), caps) == value, name
+    for sym in splice_symmetries(pres):
+        assert _area(pres, apply_symmetry(sym, letters), caps) == value, (name, sym)
