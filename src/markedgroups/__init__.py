@@ -30,8 +30,9 @@ from .dehn import (
     dehn,
     quotient_check,
     theorem_check,
+    verify_family,
 )
-from .families import FamilySpec, builtin_families, family_member, get_family, load_manifest
+from .families import FamilySpec, builtin_families, get_family, load_manifest
 from .oracles import (
     AbelianOracle,
     BoundedDerivationOracle,
@@ -43,13 +44,8 @@ from .oracles import (
     RewritingOracle,
     UnknownVerdictError,
     Verdict,
-    abelian_decide,
-    bounded_derivation_decide,
     build_oracle,
-    decide,
     involution_rules,
-    rewriting_decide,
-    table_decide,
 )
 from .presentations import (
     Presentation,
@@ -64,12 +60,10 @@ from .space import MarkedDistance, RelationBall, convergence_report, distance, r
 from .words import (
     Word,
     ball_size,
-    concat,
     conjugate,
     cyclic_permutations,
     enumerate_ball,
     free_reduce,
-    invert,
     make_word,
     shell,
     word_to_str,

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .presentations import Presentation, parse_word, symmetrize
-from .words import Word, free_reduce, invert_letters, letters_key, shell
+from .words import Word, _splice, free_reduce, invert_letters, letters_key, shell
 
 __all__ = [
     "Caps",
@@ -127,23 +127,6 @@ class AreaNotFound(Exception):
         self.word = word
         self.caps = caps
         self.stats = stats
-
-
-def _splice(prefix: tuple[int, ...], move: tuple[int, ...], suffix: tuple[int, ...]) -> tuple[int, ...]:
-    # prefix, move and suffix are each reduced, so cancellation happens
-    # only at the two seams and cascades; single pass, no full rescan.
-    out = list(prefix)
-    i, n = 0, len(move)
-    while i < n and out and out[-1] == -move[i]:
-        out.pop()
-        i += 1
-    out.extend(move[i:])
-    j, ns = 0, len(suffix)
-    while j < ns and out and out[-1] == -suffix[j]:
-        out.pop()
-        j += 1
-    out.extend(suffix[j:])
-    return tuple(out)
 
 
 def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> AreaResult:
@@ -289,16 +272,6 @@ def compose_certificates(
     return composed
 
 
-def _cat_reduce(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = list(a)
-    i, n = 0, len(b)
-    while i < n and out and out[-1] == -b[i]:
-        out.pop()
-        i += 1
-    out.extend(b[i:])
-    return tuple(out)
-
-
 def _single_conjugates(pres: Presentation, conj_cap: int) -> frozenset[tuple[int, ...]]:
     """All reduced u r^(+-1) u^-1 with |u| <= conj_cap."""
     out: set[tuple[int, ...]] = set()
@@ -324,7 +297,7 @@ def _product_tables(pres: Presentation, conj_cap: int) -> dict[int, frozenset[tu
 def _products(products: dict[int, frozenset[tuple[int, ...]]], k: int) -> frozenset[tuple[int, ...]]:
     """Products of exactly k bounded conjugates, as reduced tuples."""
     if k not in products:
-        products[k] = frozenset(_cat_reduce(x, y) for x in _products(products, k - 1) for y in products[1])
+        products[k] = frozenset(_splice(x, y, ()) for x in _products(products, k - 1) for y in products[1])
     return products[k]
 
 
@@ -357,6 +330,6 @@ def area_exact_small(pres: Presentation, w: Word, k_max: int, conj_cap: int) -> 
             continue
         right = _products(products, kb)
         for y in right:
-            if _cat_reduce(target, invert_letters(y)) in left:
+            if _splice(target, invert_letters(y), ()) in left:
                 return k
     return None

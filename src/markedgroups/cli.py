@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache, default_cache_dir
-from .dehn import DehnComputationError, corollary_check, dehn, theorem_check
+from .dehn import DehnComputationError, dehn, verify_family
 from .families import get_family
 from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
 from .presentations import (
@@ -113,7 +113,10 @@ def _parse_indices(text: str) -> list[int]:
 
 
 def _parse_radii(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    radii = [int(part) for part in text.split(",") if part.strip()]
+    if not radii:
+        raise ValueError(f"--n {text!r} gives no radius; give a comma-separated list such as 2,4")
+    return radii
 
 
 def _load_presentation_file(path: str) -> Presentation:
@@ -201,6 +204,20 @@ def cmd_area(args) -> int:
     return EXIT_OK
 
 
+def _is_dehn_row(hit, n: int) -> bool:
+    """True iff a cache hit has the shape of :meth:`DehnValue.to_json` for radius n."""
+    return (
+        isinstance(hit, dict)
+        and set(hit) == {"n", "value", "exact", "witnesses"}
+        and type(hit["n"]) is int
+        and hit["n"] == n
+        and type(hit["value"]) is int
+        and isinstance(hit["exact"], bool)
+        and isinstance(hit["witnesses"], list)
+        and all(isinstance(w, str) for w in hit["witnesses"])
+    )
+
+
 def cmd_dehn(args) -> int:
     pres, oracle, label = _resolve_group(args)
     radii = _parse_radii(args.n)
@@ -219,7 +236,7 @@ def cmd_dehn(args) -> int:
             version=__version__,
         )
         hit = cache.get(key)
-        if hit is not None:
+        if _is_dehn_row(hit, n):
             rows_json.append(hit)
             continue
         value = dehn(pres, oracle, n, caps, workers=args.workers)
@@ -293,11 +310,7 @@ def cmd_verify_theorem(args) -> int:
     floor = max(radii + [L])
     length_cap = _default_length_cap(args, floor, family.limit_pres)
     caps = Caps(length_cap, args.node_cap)
-    reports = []
-    for n in radii:
-        for i in indices:
-            reports.append(theorem_check(family, i, n, caps, workers=args.workers))
-    corollaries = [corollary_check(family, indices, n, caps, workers=args.workers) for n in radii]
+    reports, corollaries = verify_family(family, indices, radii, caps, workers=args.workers)
 
     inconclusive = any(
         r.applicable and (r.inequality_star_ok is None or r.k_le_delta_L_ok is None)

@@ -18,6 +18,10 @@ member, the finite inequalities behind the limit statement
 
 The limsup itself is not finitely observable, so the reports state only
 what was computed, for the tested members, with exactness flags.
+
+:func:`verify_family` computes each quantity once per call and reads the
+uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
+reports of each radius, with no search of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "dehn",
     "quotient_check",
     "compute_K",
+    "verify_family",
     "theorem_check",
     "corollary_check",
 ]
@@ -246,27 +251,8 @@ class TheoremReport:
         }
 
 
-def theorem_check(family, i: int, n: int, caps: Caps, workers: int = 1) -> TheoremReport:
-    """Compute every quantity of the inequality for one member and radius."""
-    limit_pres, limit_oracle = family.limit()
-    L = max_relator_length(limit_pres)
-    if L is None:
-        raise ValueError(
-            f"family {family.name!r}: the limit has no relators, so L is undefined "
-            "and the inequality cannot be formed"
-        )
-    member_pres, member_oracle = family.member(i)
-    if not quotient_check(limit_pres, member_oracle):
-        raise ValueError(
-            f"family {family.name!r}: member {i} is not a quotient of the limit; "
-            "K_i does not exist"
-        )
-    agreement = distance(member_pres, member_oracle, limit_pres, limit_oracle, n).agreement_radius()
-    d_i_n = dehn(member_pres, member_oracle, n, caps, workers=workers)
-    d_n = dehn(limit_pres, limit_oracle, n, caps, workers=workers)
-    d_i_L = dehn(member_pres, member_oracle, L, caps, workers=workers)
-    k_value, k_exact = compute_K(limit_pres, member_pres, caps)
-
+def _theorem_report(i, n, L, agreement, d_i_n, d_n, d_i_L, K) -> TheoremReport:
+    k_value, k_exact = K
     all_exact = d_i_n.exact and d_n.exact and d_i_L.exact and k_exact
     ratio = Fraction(d_i_n.value, d_i_L.value) if d_i_L.value > 0 else None
     star = d_i_n.value <= k_value * d_n.value if all_exact else None
@@ -314,38 +300,96 @@ class CorollaryReport:
             "all_pass": self.all_pass,
         }
 
+    @classmethod
+    def from_reports(cls, family: str, reports) -> "CorollaryReport":
+        """Read the bound off the theorem reports of one radius.
 
-def corollary_check(family, i_values, n: int, caps: Caps, workers: int = 1) -> CorollaryReport:
-    """Check the uniform bound across the tested members.
+        Members whose relation balls disagree with the limit before n are
+        excluded from the bound (nothing constrains them) and marked so.
+        """
+        first = reports[0]
+        M = max(r.delta_i_L[0] for r in reports)
+        rows = tuple(
+            {
+                "i": r.i,
+                "ball_agreement": r.ball_agreement,
+                "delta_i_L": {"value": r.delta_i_L[0], "exact": r.delta_i_L[1]},
+                "delta_i_n": {"value": r.delta_i_n[0], "exact": r.delta_i_n[1]},
+                "included": r.applicable,
+                "bound_ok": (r.delta_i_n[0] <= M * first.delta_n[0]) if r.applicable else None,
+            }
+            for r in reports
+        )
+        return cls(family, first.n, first.L, M, first.delta_n, rows)
 
-    Members whose relation balls disagree with the limit before n are
-    excluded from the bound (nothing constrains them) and marked so.
+
+def verify_family(
+    family, i_values, radii, caps: Caps, workers: int = 1
+) -> tuple[list[TheoremReport], list[CorollaryReport]]:
+    """Theorem reports for every (n, i), n outer, and one corollary per radius.
+
+    Each quantity is computed once per call: the limit, each member with
+    its quotient check, K_i and delta_i(L) once per member, delta(n) once
+    per radius, and delta_i(n) and the ball agreement once per (i, n);
+    at n = L, delta_i(n) and delta_i(L) are one value.  A quantity is
+    computed at the first report that needs it, in the order agreement,
+    delta_i(n), delta(n), delta_i(L), K_i, so the first failure does not
+    depend on which values are reused.  Each corollary is read off the
+    reports of its radius.
     """
+    i_values, radii = tuple(i_values), tuple(radii)
+    if not i_values or not radii:
+        raise ValueError("the harness needs at least one member index and one radius")
     limit_pres, limit_oracle = family.limit()
     L = max_relator_length(limit_pres)
     if L is None:
-        raise ValueError(f"family {family.name!r}: the limit has no relators, so L is undefined")
-    d_n = dehn(limit_pres, limit_oracle, n, caps, workers=workers)
-    measurements = []
-    for i in i_values:
-        member_pres, member_oracle = family.member(i)
-        agreement = distance(member_pres, member_oracle, limit_pres, limit_oracle, n).agreement_radius()
-        d_i_L = dehn(member_pres, member_oracle, L, caps, workers=workers)
-        d_i_n = dehn(member_pres, member_oracle, n, caps, workers=workers)
-        measurements.append((i, agreement, d_i_L, d_i_n))
-    M = max((d_i_L.value for _, _, d_i_L, _ in measurements), default=0)
-    rows = []
-    for i, agreement, d_i_L, d_i_n in measurements:
-        included = agreement >= n
-        bound_ok = (d_i_n.value <= M * d_n.value) if included else None
-        rows.append(
-            {
-                "i": i,
-                "ball_agreement": agreement,
-                "delta_i_L": {"value": d_i_L.value, "exact": d_i_L.exact},
-                "delta_i_n": {"value": d_i_n.value, "exact": d_i_n.exact},
-                "included": included,
-                "bound_ok": bound_ok,
-            }
+        raise ValueError(
+            f"family {family.name!r}: the limit has no relators, so L is undefined "
+            "and the inequality cannot be formed"
         )
-    return CorollaryReport(family.name, n, L, M, (d_n.value, d_n.exact), tuple(rows))
+    memo: dict = {}
+
+    def once(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def member(i):
+        member_pres, member_oracle = family.member(i)
+        if not quotient_check(limit_pres, member_oracle):
+            raise ValueError(
+                f"family {family.name!r}: member {i} is not a quotient of the limit; "
+                "K_i does not exist"
+            )
+        return member_pres, member_oracle
+
+    reports = []
+    for n in radii:
+        for i in i_values:
+            member_pres, member_oracle = once(("member", i), lambda: member(i))
+            agreement = once(("agreement", i, n), lambda: distance(
+                member_pres, member_oracle, limit_pres, limit_oracle, n).agreement_radius())
+            d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, workers=workers))
+            d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, workers=workers))
+            d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, workers=workers))
+            K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
+            reports.append(_theorem_report(i, n, L, agreement, d_i_n, d_n, d_i_L, K))
+    width = len(i_values)
+    corollaries = [
+        CorollaryReport.from_reports(family.name, reports[k * width : (k + 1) * width])
+        for k in range(len(radii))
+    ]
+    return reports, corollaries
+
+
+def theorem_check(family, i: int, n: int, caps: Caps, workers: int = 1) -> TheoremReport:
+    """Compute every quantity of the inequality for one member and radius."""
+    return verify_family(family, (i,), (n,), caps, workers)[0][0]
+
+
+def corollary_check(family, i_values, n: int, caps: Caps, workers: int = 1) -> CorollaryReport:
+    """Check the uniform bound across the tested members at one radius.
+
+    Runs :func:`verify_family`, so every member also passes the quotient check.
+    """
+    return verify_family(family, i_values, (n,), caps, workers)[1][0]

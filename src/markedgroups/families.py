@@ -28,7 +28,7 @@ from string import Template
 from .oracles import Oracle, build_oracle
 from .presentations import Presentation, parse_presentation
 
-__all__ = ["FamilySpec", "builtin_families", "get_family", "family_member", "load_manifest"]
+__all__ = ["FamilySpec", "builtin_families", "get_family", "load_manifest"]
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ def get_family(name: str) -> FamilySpec:
         return load_manifest(path)
     known = ", ".join(spec.name for spec in builtin_families())
     raise ValueError(f"unknown family {name!r} (built-ins: {known})")
-
-
-def family_member(spec: FamilySpec, i: int) -> tuple[Presentation, Oracle]:
-    return spec.member(i)
 
 
 def load_manifest(path: str | Path) -> FamilySpec:

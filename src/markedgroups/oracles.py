@@ -40,11 +40,6 @@ __all__ = [
     "CosetLimitExceeded",
     "involution_rules",
     "build_oracle",
-    "abelian_decide",
-    "table_decide",
-    "rewriting_decide",
-    "bounded_derivation_decide",
-    "decide",
 ]
 
 
@@ -332,27 +327,3 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
         return ProductOracle(tuple(components), pres.ngens)
     raise ValueError(f"unknown oracle spec {spec!r}")
 
-
-# Thin functional forms of the individual deciders.
-
-def abelian_decide(orders: tuple[int, ...], w: Word) -> Verdict:
-    return AbelianOracle(orders).decide(w)
-
-
-def table_decide(table: CayleyTable, w: Word) -> Verdict:
-    if not table.complete:
-        raise ValueError("cannot decide against an incomplete coset table")
-    return CosetTableOracle(table).decide(w)
-
-
-def rewriting_decide(rules, w: Word, confluent: bool = True) -> Verdict:
-    oracle = RewritingOracle(rules, confluent, "custom", "as declared by the caller")
-    return oracle.decide(w)
-
-
-def bounded_derivation_decide(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> Verdict:
-    return BoundedDerivationOracle(pres, Caps(length_cap, node_cap)).decide(w)
-
-
-def decide(oracle: Oracle, w: Word) -> Verdict:
-    return oracle.decide(w)

@@ -20,8 +20,6 @@ __all__ = [
     "Word",
     "make_word",
     "free_reduce",
-    "concat",
-    "invert",
     "conjugate",
     "cyclic_permutations",
     "enumerate_ball",
@@ -49,6 +47,23 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
 def invert_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of a letter sequence: reverse and flip signs."""
     return tuple(-x for x in reversed(letters))
+
+
+def _splice(prefix: tuple[int, ...], move: tuple[int, ...], suffix: tuple[int, ...]) -> tuple[int, ...]:
+    # prefix, move and suffix are each reduced, so cancellation happens
+    # only at the two seams and cascades; single pass, no full rescan.
+    out = list(prefix)
+    i, n = 0, len(move)
+    while i < n and out and out[-1] == -move[i]:
+        out.pop()
+        i += 1
+    out.extend(move[i:])
+    j, ns = 0, len(suffix)
+    while j < ns and out and out[-1] == -suffix[j]:
+        out.pop()
+        j += 1
+    out.extend(suffix[j:])
+    return tuple(out)
 
 
 def letter_key(x: int) -> tuple[int, int]:
@@ -128,15 +143,6 @@ def make_word(ngens: int, letters: Iterable[int]) -> Word:
     raw = tuple(letters)
     _check_letters(ngens, raw)
     return Word(ngens, free_reduce(raw))
-
-
-def concat(u: Word, v: Word) -> Word:
-    """Reduced product ``u * v``."""
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
 
 
 def conjugate(u: Word, w: Word) -> Word:

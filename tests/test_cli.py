@@ -1,12 +1,18 @@
 import csv
+import importlib
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import run_cli
 
 from markedgroups.cache import ENV_VAR
+from markedgroups.families import FamilySpec
+
+GOLDEN = Path(__file__).parent / "data" / "verify_theorem"
 
 
 @pytest.fixture
@@ -229,7 +235,15 @@ def test_verify_theorem_rejects_empty_index_range(indices, capsys):
     assert "selects no index" in err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "empty"])
+DAMAGE = {
+    "truncate": lambda text: text[: len(text) // 2],
+    "empty": lambda text: "",
+    "empty_object": lambda text: "{}",
+    "other_n": lambda text: json.dumps({"n": 2, "value": 0, "exact": True, "witnesses": []}),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
 def test_damaged_cache_entry_is_a_miss(damage, pres_dir, capsys):
     cache_dir = pres_dir / "cache"
     argv = ["dehn", "--family", "zxz", "--i", "4", "--n", "4", "--format", "json",
@@ -238,10 +252,69 @@ def test_damaged_cache_entry_is_a_miss(damage, pres_dir, capsys):
     assert code == 0
     (entry,) = cache_dir.iterdir()
     text = entry.read_text(encoding="utf-8")
-    entry.write_text(text[: len(text) // 2] if damage == "truncate" else "", encoding="utf-8")
+    entry.write_text(DAMAGE[damage](text), encoding="utf-8")
     code, again, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert again == cold
     # the recomputed entry replaced the damaged one
     assert entry.read_text(encoding="utf-8") == text
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+@pytest.mark.parametrize("command", [
+    ["dehn", "--family", "zxz", "--i", "3"],
+    ["verify-theorem", "--family", "dihedral", "--i", "3"],
+])
+def test_empty_radius_list_is_an_input_error(command, capsys):
+    code, out, err = run_cli([*command, "--n", ","], capsys)
+    assert code == 2
+    assert out == ""
+    assert "gives no radius" in err
+
+
+@pytest.mark.parametrize("args, fixture", [
+    (["--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"], "zxz_3-6_n2-4.json"),
+    (["--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "csv"], "zxz_3-6_n2-4.csv"),
+    (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"], "dihedral_6_n4-6_w2.txt"),
+])
+def test_verify_theorem_matches_golden_report(args, fixture, capsys):
+    # fixtures were captured before values were reused across reports; reuse must not show
+    code, out, err = run_cli(["verify-theorem", *args], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
+
+
+def test_verify_theorem_matches_golden_input_error(capsys):
+    code, out, err = run_cli(["verify-theorem", "--family", "dihedral", "--i", "1..3", "--n", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (GOLDEN / "dihedral_1-3_n2.err").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, expected", [
+    # zxz has L = 4, one of the radii: delta_i(L) is the entry delta_i(4)
+    (["--family", "zxz", "--i", "3..6", "--n", "2,4"],
+     {"dehn": 10, "compute_K": 4, "quotient_check": 4, "distance": 8, "member": 4}),
+    # dihedral has L = 2: delta(4), delta(6), delta_6(4), delta_6(6), delta_6(2)
+    (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"],
+     {"dehn": 5, "compute_K": 1, "quotient_check": 1, "distance": 2, "member": 1}),
+])
+def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monkeypatch):
+    # the package attribute markedgroups.dehn is the function, so fetch the module
+    dehn_module = importlib.import_module("markedgroups.dehn")
+    counts = Counter()
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*a, **k):
+            counts[key] += 1
+            return fn(*a, **k)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("dehn", "compute_K", "quotient_check", "distance"):
+        count(dehn_module, name, name)
+    count(FamilySpec, "member", "member")
+    code, _, _ = run_cli(["verify-theorem", *args], capsys)
+    assert code == 0
+    assert counts == expected

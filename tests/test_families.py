@@ -1,9 +1,10 @@
 import pytest
 
+from markedgroups.area import Caps
 from markedgroups.coset import coset_enumerate
 from markedgroups.dehn import quotient_check
-from markedgroups.families import builtin_families, family_member, get_family, load_manifest
-from markedgroups.oracles import bounded_derivation_decide
+from markedgroups.families import builtin_families, get_family, load_manifest
+from markedgroups.oracles import BoundedDerivationOracle
 from markedgroups.presentations import max_relator_length
 from markedgroups.space import convergence_report
 from markedgroups.words import enumerate_ball
@@ -19,14 +20,14 @@ def test_registry_contents():
 
 
 def test_zxz_member_shape():
-    pres, oracle = family_member(fam("zxz"), 5)
+    pres, oracle = fam("zxz").member(5)
     assert pres.gen_names == ("x", "y")
     assert [r.letters for r in pres.relators] == [(1, 2, -1, -2), (2,) * 5]
     assert oracle.spec == "abelian:0,5"
 
 
 def test_cyclicZ_members_and_limit():
-    pres, _ = family_member(fam("cyclicZ"), 3)
+    pres, _ = fam("cyclicZ").member(3)
     assert [r.letters for r in pres.relators] == [(1, 1, 1)]
     limit_pres, limit_oracle = fam("cyclicZ").limit()
     assert limit_pres.relators == ()
@@ -35,9 +36,9 @@ def test_cyclicZ_members_and_limit():
 
 
 def test_dihedral_member_orders():
-    p3, o3 = family_member(fam("dihedral"), 3)
+    p3, o3 = fam("dihedral").member(3)
     assert o3.table.cosets == 6
-    p2, _ = family_member(fam("dihedral"), 2)
+    p2, _ = fam("dihedral").member(2)
     assert coset_enumerate(p2, 100).cosets == 4
 
 
@@ -79,9 +80,10 @@ def test_member_oracles_agree_with_semidecider():
     for name in ("zxz", "dihedral"):
         family = fam(name)
         pres, oracle = family.member(3)
+        semidecider = BoundedDerivationOracle(pres, Caps(8, 300))
         hits = 0
         for w in enumerate_ball(pres.ngens, 4):
-            semi = bounded_derivation_decide(pres, w, 8, 300)
+            semi = semidecider.decide(w)
             if semi.is_trivial:
                 assert oracle.decide(w).is_trivial
                 hits += 1

@@ -2,17 +2,16 @@ import itertools
 
 import pytest
 
+from markedgroups.area import Caps
 from markedgroups.coset import coset_enumerate
 from markedgroups.oracles import (
+    AbelianOracle,
+    BoundedDerivationOracle,
     CosetLimitExceeded,
     CosetTableOracle,
-    abelian_decide,
-    bounded_derivation_decide,
+    RewritingOracle,
     build_oracle,
-    decide,
     involution_rules,
-    rewriting_decide,
-    table_decide,
 )
 from markedgroups.presentations import parse_presentation, parse_word
 from markedgroups.words import enumerate_ball, make_word
@@ -22,14 +21,14 @@ from markedgroups.words import enumerate_ball, make_word
 
 def test_abelian_examples():
     comm = make_word(2, (1, 2, -1, -2))
-    assert abelian_decide((0, 0), comm).is_trivial
-    assert abelian_decide((0, 5), make_word(2, (2,) * 5)).is_trivial
-    assert not abelian_decide((0, 5), make_word(2, (1, 2, 2, 2, 2, 2))).is_trivial
+    assert AbelianOracle((0, 0)).decide(comm).is_trivial
+    assert AbelianOracle((0, 5)).decide(make_word(2, (2,) * 5)).is_trivial
+    assert not AbelianOracle((0, 5)).decide(make_word(2, (1, 2, 2, 2, 2, 2))).is_trivial
 
 
 def test_abelian_rejects_mismatched_orders():
     with pytest.raises(ValueError):
-        abelian_decide((0,), make_word(2, (1,)))
+        AbelianOracle((0,)).decide(make_word(2, (1,)))
     with pytest.raises(ValueError):
         build_oracle("abelian:1", parse_presentation("gens: x\nrels:"))
 
@@ -41,8 +40,9 @@ def test_z5_enumeration_and_cross_check():
     table = coset_enumerate(p, 100)
     assert table.complete and table.cosets == 5 and table.is_regular()
     # cross-check against the exponent-sum oracle on all words of length <= 6
+    oracle, abelian = CosetTableOracle(table), AbelianOracle((5,))
     for w in enumerate_ball(1, 6):
-        assert table_decide(table, w).is_trivial == abelian_decide((5,), w).is_trivial
+        assert oracle.decide(w).is_trivial == abelian.decide(w).is_trivial
 
 
 def test_d3_enumeration_against_normal_forms(d3):
@@ -114,32 +114,32 @@ def test_known_group_orders(text, order):
 
 def test_table_decide_examples(d3):
     table = coset_enumerate(d3, 100)
-    assert table_decide(table, parse_word("(a b)^3", d3.gen_names)).is_trivial
-    assert not table_decide(table, parse_word("a b", d3.gen_names)).is_trivial
+    assert CosetTableOracle(table).decide(parse_word("(a b)^3", d3.gen_names)).is_trivial
+    assert not CosetTableOracle(table).decide(parse_word("a b", d3.gen_names)).is_trivial
     z5 = coset_enumerate(parse_presentation("gens: a\nrels: a^5"), 100)
-    assert not table_decide(z5, make_word(1, (1,) * 4)).is_trivial
+    assert not CosetTableOracle(z5).decide(make_word(1, (1,) * 4)).is_trivial
 
 
 def test_table_decide_every_relator(d3):
     table = coset_enumerate(d3, 100)
     for r in d3.relators:
-        assert table_decide(table, r).is_trivial
+        assert CosetTableOracle(table).decide(r).is_trivial
 
 
 def test_table_decide_requires_complete():
     p = parse_presentation("gens: x y\nrels: [x,y]; y^3")
     table = coset_enumerate(p, 50)
-    with pytest.raises(ValueError):
-        table_decide(table, make_word(2, (1,)))
+    with pytest.raises(CosetLimitExceeded):
+        CosetTableOracle(table)
 
 
 # rewriting oracle
 
 def test_dinf_rewriting_examples():
-    rules = involution_rules(2)
-    assert rewriting_decide(rules, make_word(2, (1, 2, 2, 1))).is_trivial
-    assert not rewriting_decide(rules, make_word(2, (1, 2, 1, 2))).is_trivial
-    assert rewriting_decide(rules, make_word(2, (1, 1))).is_trivial
+    oracle = RewritingOracle(involution_rules(2), True, "involutions", "test")
+    assert oracle.decide(make_word(2, (1, 2, 2, 1))).is_trivial
+    assert not oracle.decide(make_word(2, (1, 2, 1, 2))).is_trivial
+    assert oracle.decide(make_word(2, (1, 1))).is_trivial
 
 
 def test_abab_normal_form_by_exhaustive_rewriting():
@@ -162,14 +162,12 @@ def test_abab_normal_form_by_exhaustive_rewriting():
 
 def test_rewriting_requires_confluence_flag():
     with pytest.raises(ValueError):
-        rewriting_decide(involution_rules(2), make_word(2, (1,)), confluent=False)
+        RewritingOracle(involution_rules(2), False, "involutions", "test")
 
 
 def test_involution_rules_locally_confluent():
     # all critical pairs of overlapping left-hand sides resolve to a
     # common normal form; with termination this gives confluence
-    from markedgroups.oracles import RewritingOracle
-
     oracle = RewritingOracle(involution_rules(2), True, "involutions", "test")
     rules = oracle.rules
     for (l1, r1), (l2, r2) in itertools.product(rules, repeat=2):
@@ -189,11 +187,11 @@ def test_involution_rules_locally_confluent():
 # bounded derivation
 
 def test_bounded_derivation_examples(a3, z2):
-    v = bounded_derivation_decide(a3, make_word(1, (1,) * 6), 12, 10**5)
+    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(make_word(1, (1,) * 6))
     assert v.is_trivial and v.certificate is not None
-    v = bounded_derivation_decide(a3, make_word(1, (1,)), 12, 10**5)
+    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(make_word(1, (1,)))
     assert v.is_unknown and v.spent is not None
-    v = bounded_derivation_decide(z2, parse_word("x y^2 x^-1 y^-2", z2.gen_names), 10, 10**6)
+    v = BoundedDerivationOracle(z2, Caps(10, 10**6)).decide(parse_word("x y^2 x^-1 y^-2", z2.gen_names))
     assert v.is_trivial
 
 
@@ -201,7 +199,7 @@ def test_bounded_derivation_certificate_verifies(a3):
     from markedgroups.area import verify_certificate
 
     w = make_word(1, (1,) * 6)
-    v = bounded_derivation_decide(a3, w, 12, 10**5)
+    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(w)
     assert verify_certificate(a3, w, v.certificate)
 
 
@@ -210,9 +208,9 @@ def test_bounded_derivation_certificate_verifies(a3):
 def test_product_oracle_componentwise():
     p = parse_presentation("gens: x y\nrels: [x,y]; y^3")
     oracle = build_oracle("product:x=abelian:0;y=abelian:3", p)
-    assert decide(oracle, parse_word("x y^3 x^-1", p.gen_names)).is_trivial
-    assert not decide(oracle, parse_word("x y^3", p.gen_names)).is_trivial
-    assert decide(oracle, make_word(2, ())).is_trivial
+    assert oracle.decide(parse_word("x y^3 x^-1", p.gen_names)).is_trivial
+    assert not oracle.decide(parse_word("x y^3", p.gen_names)).is_trivial
+    assert oracle.decide(make_word(2, ())).is_trivial
 
 
 def test_product_partition_validation():
@@ -253,9 +251,10 @@ def test_free_oracle():
 def test_agreement_cyclic_members():
     for i in (3, 4, 5):
         p = parse_presentation(f"gens: x\nrels: x^{i}")
-        table = coset_enumerate(p, 100)
+        oracle = CosetTableOracle(coset_enumerate(p, 100))
+        abelian = AbelianOracle((i,))
         for w in enumerate_ball(1, 8):
-            assert table_decide(table, w).is_trivial == abelian_decide((i,), w).is_trivial
+            assert oracle.decide(w).is_trivial == abelian.decide(w).is_trivial
 
 
 def test_agreement_zxz_members_abelian_vs_product():

@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markedgroups.words import (
     Word,
+    _splice,
     ball_size,
-    concat,
     conjugate,
     cyclic_permutations,
     enumerate_ball,
     free_reduce,
-    invert,
     make_word,
     shell,
     word_to_str,
@@ -51,22 +52,22 @@ def test_word_constructor_requires_reduced():
 
 def test_concat_examples():
     ab = make_word(2, (1, 2))
-    assert concat(ab, make_word(2, (-2, 1))).letters == (1, 1)
-    assert concat(ab, invert(ab)).letters == ()
-    assert concat(ab, ab).letters == (1, 2, 1, 2)
+    assert (ab * make_word(2, (-2, 1))).letters == (1, 1)
+    assert (ab * ab.inverse()).letters == ()
+    assert (ab * ab).letters == (1, 2, 1, 2)
 
 
 def test_concat_rejects_mixed_markings():
     with pytest.raises(ValueError):
-        concat(make_word(1, (1,)), make_word(2, (1,)))
+        make_word(1, (1,)) * make_word(2, (1,))
 
 
 def test_invert_examples():
-    assert invert(make_word(2, (1, 2, -1))).letters == (1, -2, -1)
-    assert invert(make_word(1, ())).letters == ()
-    assert invert(make_word(1, (1, 1, 1))).letters == (-1, -1, -1)
+    assert make_word(2, (1, 2, -1)).inverse().letters == (1, -2, -1)
+    assert make_word(1, ()).inverse().letters == ()
+    assert make_word(1, (1, 1, 1)).inverse().letters == (-1, -1, -1)
     w = make_word(2, (1, 2, -1, 2))
-    assert invert(invert(w)) == w
+    assert w.inverse().inverse() == w
 
 
 def test_conjugate_examples():
@@ -84,7 +85,7 @@ def test_group_laws_randomized():
         assert (u * v) * w == u * (v * w)
         e = make_word(2, ())
         assert u * e == u and e * u == u
-        assert (u * invert(u)).letters == ()
+        assert (u * u.inverse()).letters == ()
         assert len(conjugate(u, w)) <= 2 * len(u) + len(w)
 
 
@@ -152,3 +153,13 @@ def test_word_to_str_round_trip():
         assert parse_word(word_to_str(w, names), names) == w
     assert word_to_str(make_word(2, ()), names) == "1"
     assert word_to_str(make_word(2, (1, 1, -2)), names) == "x^2 y^-1"
+
+
+reduced = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(free_reduce)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reduced, reduced, reduced)
+def test_splice_equals_free_reduction(a, b, c):
+    # the seam-only cancellation agrees with a full rescan on reduced parts
+    assert _splice(a, b, c) == free_reduce(a + b + c)
