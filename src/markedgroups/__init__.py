@@ -45,7 +45,6 @@ from .oracles import (
     UnknownVerdictError,
     Verdict,
     build_oracle,
-    involution_rules,
 )
 from .presentations import (
     Presentation,

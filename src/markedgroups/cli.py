@@ -39,13 +39,23 @@ EXIT_INCONCLUSIVE = 4
 EXIT_VERDICT_FAILED = 5
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--cache-dir", default=None, help="result cache directory (env MARKEDGROUPS_CACHE_DIR)")
     parser.add_argument("--length-cap", type=int, default=None, help="max intermediate word length in area searches")
     parser.add_argument("--node-cap", type=int, default=1_000_000, help="max states explored per area search")
     parser.add_argument("--lambda-max", type=int, default=10, help="largest radius scanned for ball agreement")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers for per-word area searches")
+    parser.add_argument("--workers", type=_worker_count, default=1, help="parallel workers for per-word area searches")
 
 
 def build_parser() -> argparse.ArgumentParser:

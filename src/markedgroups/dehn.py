@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .area import AreaNotFound, Caps, area_search
-from .oracles import Oracle, UnknownVerdictError
+from .oracles import Oracle
 from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance
-from .words import Word, invert_letters, letter_key, shell
+from .words import Word, enumerate_ball, invert_letters, letter_key
 
 __all__ = [
     "DehnValue",
@@ -135,15 +135,10 @@ def dehn(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    trivial: list[tuple[int, ...]] = []
-    for length in range(n + 1):
-        for letters in shell(pres.ngens, length):
-            w = Word(pres.ngens, letters)
-            verdict = oracle.decide(w)
-            if verdict.is_unknown:
-                raise UnknownVerdictError(w, oracle)
-            if verdict.is_trivial and letters:
-                trivial.append(letters)
+    # Every word of the ball is decided, the identity included; its area is 0.
+    trivial = [
+        w.letters for w in enumerate_ball(pres.ngens, n) if oracle.is_trivial(w) and w.letters
+    ]
     if not trivial:
         return DehnValue(n, 0, True, ())
     reps, word_orbit = _orbits(pres, trivial)
@@ -168,13 +163,7 @@ def dehn(
 
 def quotient_check(limit_pres: Presentation, member_oracle: Oracle) -> bool:
     """True iff every limit relator is trivial in the member group."""
-    for r in limit_pres.relators:
-        verdict = member_oracle.decide(r)
-        if verdict.is_unknown:
-            raise UnknownVerdictError(r, member_oracle)
-        if not verdict.is_trivial:
-            return False
-    return True
+    return all(member_oracle.is_trivial(r) for r in limit_pres.relators)
 
 
 def compute_K(limit_pres: Presentation, member_pres: Presentation, caps: Caps) -> tuple[int, bool]:

@@ -47,9 +47,15 @@ class FamilySpec:
     def member(self, i: int) -> tuple[Presentation, Oracle]:
         if i < self.valid_i:
             raise ValueError(f"family {self.name!r} requires i >= {self.valid_i}, got {i}")
-        text = Template(self.member_pres_template).substitute(i=i)
+        try:
+            text = Template(self.member_pres_template).substitute(i=i)
+            spec = Template(self.member_oracle_template).substitute(i=i)
+        except KeyError as exc:
+            raise ValueError(
+                f"family {self.name!r}: unknown placeholder ${exc.args[0]} in the member "
+                "template; only $i is substituted"
+            ) from None
         pres = parse_presentation(text, name=f"{self.name}[{i}]")
-        spec = Template(self.member_oracle_template).substitute(i=i)
         return pres, build_oracle(spec, pres)
 
     def to_json(self) -> dict:
@@ -133,20 +139,38 @@ def load_manifest(path: str | Path) -> FamilySpec:
         }
 
     The limit presentation is a file path relative to the manifest; the
-    member presentation is inline text with $i substituted.
+    member presentation is inline text with $i substituted.  A manifest
+    that is not shaped like this raises ValueError naming what is wrong.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    limit_file = path.parent / data["limit"]["presentation"]
-    limit_pres = parse_presentation(
-        limit_file.read_text(encoding="utf-8"), name=f"{data['name']}[limit]"
-    )
+
+    def field(*keys):
+        value = data
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict):
+                where = ".".join(keys[:depth]) or "the document"
+                raise ValueError(f"manifest {path}: {where} must be a JSON object")
+            if key not in value:
+                raise ValueError(f"manifest {path}: missing key {'.'.join(keys[:depth + 1])!r}")
+            value = value[key]
+        if not isinstance(value, str):
+            raise ValueError(f"manifest {path}: {'.'.join(keys)} must be a string")
+        return value
+
+    name = field("name")
+    try:
+        valid_i = int(data.get("valid_i", 2))
+    except (TypeError, ValueError):
+        raise ValueError(f"manifest {path}: valid_i must be an integer") from None
+    limit_file = path.parent / field("limit", "presentation")
+    limit_pres = parse_presentation(limit_file.read_text(encoding="utf-8"), name=f"{name}[limit]")
     return FamilySpec(
-        name=data["name"],
-        valid_i=int(data.get("valid_i", 2)),
+        name=name,
+        valid_i=valid_i,
         notes=data.get("notes", ""),
         limit_pres=limit_pres,
-        limit_oracle_spec=data["limit"]["oracle"],
-        member_pres_template=data["member_template"]["presentation"],
-        member_oracle_template=data["member_template"]["oracle"],
+        limit_oracle_spec=field("limit", "oracle"),
+        member_pres_template=field("member_template", "presentation"),
+        member_oracle_template=field("member_template", "oracle"),
     )

@@ -6,13 +6,14 @@ presentations on which its verdicts are exact.  Using an oracle outside
 its domain is a caller error, not a silent wrong answer.  The generic
 fallback (bounded derivation search) is sound everywhere but may answer
 ``unknown``; downstream consumers treat that as an error rather than
-guessing.
+guessing: walks ask :meth:`Oracle.is_trivial`, which returns the exact
+verdict or raises :class:`UnknownVerdictError`.
 
 Oracle spec strings (used by family registries, manifests and the CLI):
 
     abelian:0,5              exponent sums, 0 meaning infinite order
     coset[:max_cosets]       complete coset table (finite groups)
-    rewriting:involutions    squares-to-identity rules (free products of Z/2)
+    rewriting:involutions    stack normal form of free products of Z/2
     derivation[:len,nodes]   bounded derivation search, semidecider
     free                     no relators: only the empty word is trivial
     product:x=SPEC;y=SPEC    componentwise over a generator partition
@@ -38,7 +39,6 @@ __all__ = [
     "ProductOracle",
     "UnknownVerdictError",
     "CosetLimitExceeded",
-    "involution_rules",
     "build_oracle",
 ]
 
@@ -89,6 +89,13 @@ class Oracle:
 
     def decide(self, w: Word) -> Verdict:
         raise NotImplementedError
+
+    def is_trivial(self, w: Word) -> bool:
+        """The exact verdict on ``w``; an unknown verdict raises UnknownVerdictError."""
+        verdict = self.decide(w)
+        if verdict.is_unknown:
+            raise UnknownVerdictError(w, self)
+        return verdict.is_trivial
 
 
 class AbelianOracle(Oracle):
@@ -147,58 +154,31 @@ class CosetTableOracle(Oracle):
 
 
 class RewritingOracle(Oracle):
-    """Normal forms under a confluent, terminating rule set.
+    """Exact for free products of order-2 groups, e.g. the infinite dihedral group.
 
-    Rules are (lhs, rhs) letter tuples applied leftmost-first until none
-    match.  The constructor refuses rule sets not marked confluent; the
-    registered systems are spot-checked for local confluence in the test
-    suite.
+    The rules x^-1 -> x and xx -> 1, one pair per generator, are
+    confluent and terminating, so every word has a unique normal form:
+    map each letter to its generator, then cancel adjacent equal letters
+    in one stack pass.
     """
 
-    def __init__(self, rules, confluent: bool, label: str, soundness: str):
-        if not confluent:
-            raise ValueError("rule set is not marked confluent")
-        self.rules = tuple((tuple(l), tuple(r)) for l, r in rules)
-        for lhs, rhs in self.rules:
-            if len(rhs) > len(lhs):
-                raise ValueError("rules must not increase length")
-        self.spec = f"rewriting:{label}"
-        self.soundness = soundness
+    def __init__(self) -> None:
+        self.spec = "rewriting:involutions"
+        self.soundness = "free products of order-2 groups (every relator a generator square)"
         self.exact = True
 
     def normal_form(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        s = tuple(letters)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.rules:
-                n = len(lhs)
-                for i in range(len(s) - n + 1):
-                    if s[i : i + n] == lhs:
-                        s = s[:i] + rhs + s[i + n :]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return s
+        out: list[int] = []
+        for x in letters:
+            g = abs(x)
+            if out and out[-1] == g:
+                out.pop()
+            else:
+                out.append(g)
+        return tuple(out)
 
     def decide(self, w: Word) -> Verdict:
         return TRIVIAL if not self.normal_form(w.letters) else NONTRIVIAL
-
-
-def involution_rules(ngens: int):
-    """x^-1 -> x and xx -> 1 for every generator.
-
-    Confluent and terminating (negatives strictly decrease, then length);
-    exact for free products of order-2 groups, e.g. the infinite dihedral
-    group for ngens = 2.
-    """
-    rules = []
-    for j in range(1, ngens + 1):
-        rules.append(((-j,), (j,)))
-    for j in range(1, ngens + 1):
-        rules.append(((j, j), ()))
-    return rules
 
 
 class FreeOracle(Oracle):
@@ -257,6 +237,11 @@ class ProductOracle(Oracle):
         if len(seen) != ngens:
             raise ValueError("parts must cover every generator")
         self.components = components
+        # Per component: letter -> signed letter of the component's marking.
+        self.projections = tuple(
+            {x: k + 1 if x > 0 else -(k + 1) for k, g in enumerate(part) for x in (g, -g)}
+            for _, part in components
+        )
         self.ngens = ngens
         self.spec = "product:" + ";".join(
             f"{','.join(str(g) for g in part)}={oracle.spec}" for oracle, part in components
@@ -268,15 +253,8 @@ class ProductOracle(Oracle):
         if w.ngens != self.ngens:
             raise ValueError("word marking does not match the partition")
         unknown: Verdict | None = None
-        for oracle, part in self.components:
-            index = {g: k + 1 for k, g in enumerate(part)}
-            projected = free_reduce(
-                tuple(
-                    index[abs(x)] * (1 if x > 0 else -1)
-                    for x in w.letters
-                    if abs(x) in index
-                )
-            )
+        for (oracle, part), index in zip(self.components, self.projections):
+            projected = free_reduce(index[x] for x in w.letters if x in index)
             verdict = oracle.decide(Word(len(part), projected))
             if verdict.kind == "nontrivial":
                 return NONTRIVIAL
@@ -300,12 +278,7 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
     if head == "rewriting":
         if rest != "involutions":
             raise ValueError(f"unknown rewriting system {rest!r}")
-        return RewritingOracle(
-            involution_rules(pres.ngens),
-            confluent=True,
-            label="involutions",
-            soundness="free products of order-2 groups (every relator a generator square)",
-        )
+        return RewritingOracle()
     if head == "derivation":
         if rest:
             length_cap, node_cap = (int(part) for part in rest.split(","))

@@ -6,6 +6,10 @@ exponential only ever appears for display, so no floating point enters a
 comparison.  Equality of marked groups is not finitely certifiable, so
 the best possible verdict from a bounded scan is "agrees through
 lambda_max", reported as an upper bound on the distance.
+
+Both walks iterate :func:`enumerate_ball` in length-lex order and ask
+:meth:`Oracle.is_trivial`, so an unknown verdict raises
+:class:`UnknownVerdictError` at the first undecided word.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .oracles import Oracle, UnknownVerdictError
+from .oracles import Oracle
 from .presentations import Presentation
-from .words import Word, shell
+from .words import Word, enumerate_ball
 
 __all__ = ["RelationBall", "MarkedDistance", "rel_ball", "distance", "convergence_report"]
 
@@ -68,18 +72,8 @@ class MarkedDistance:
 
 def rel_ball(pres: Presentation, oracle: Oracle, radius: int) -> RelationBall:
     """Filter the free-group ball through the triviality oracle."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    members = []
-    for length in range(radius + 1):
-        for letters in shell(pres.ngens, length):
-            w = Word(pres.ngens, letters)
-            verdict = oracle.decide(w)
-            if verdict.is_unknown:
-                raise UnknownVerdictError(w, oracle)
-            if verdict.is_trivial:
-                members.append(w)
-    return RelationBall(radius, frozenset(members))
+    members = frozenset(w for w in enumerate_ball(pres.ngens, radius) if oracle.is_trivial(w))
+    return RelationBall(radius, members)
 
 
 def distance(
@@ -89,28 +83,19 @@ def distance(
     oracle2: Oracle,
     lambda_max: int,
 ) -> MarkedDistance:
-    """Scan shells outward, stopping at the first disagreement.
+    """Scan the ball outward, stopping at the first disagreement.
 
     Two balls of the same radius are equal iff every word of that length
     gets the same verdict from both sides, so the scan can stop at the
-    first differing word.
+    first differing word.  Each word is put to ``oracle1`` first.
     """
     if pres1.ngens != pres2.ngens:
         raise ValueError("marked groups live in different spaces (generator counts differ)")
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    m = pres1.ngens
-    for lam in range(lambda_max + 1):
-        for letters in shell(m, lam):
-            w = Word(m, letters)
-            v1 = oracle1.decide(w)
-            if v1.is_unknown:
-                raise UnknownVerdictError(w, oracle1)
-            v2 = oracle2.decide(w)
-            if v2.is_unknown:
-                raise UnknownVerdictError(w, oracle2)
-            if v1.is_trivial != v2.is_trivial:
-                return MarkedDistance("exact", lam - 1)
+    for w in enumerate_ball(pres1.ngens, lambda_max):
+        if oracle1.is_trivial(w) != oracle2.is_trivial(w):
+            return MarkedDistance("exact", len(w) - 1)
     return MarkedDistance("at_most", lambda_max)
 
 

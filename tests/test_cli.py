@@ -318,3 +318,41 @@ def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monk
     code, _, _ = run_cli(["verify-theorem", *args], capsys)
     assert code == 0
     assert counts == expected
+
+
+GOOD_MANIFEST = {
+    "name": "zxzManifest",
+    "limit": {"presentation": "limit.pres", "oracle": "abelian:0,0"},
+    "member_template": {"presentation": "gens: x y\nrels: [x,y]; y^$i", "oracle": "abelian:0,$i"},
+}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({k: v for k, v in GOOD_MANIFEST.items() if k != "limit"}, "missing key 'limit'"),
+    ([GOOD_MANIFEST], "must be a JSON object"),
+    ({**GOOD_MANIFEST, "member_template": {"presentation": "gens: x y\nrels: [x,y]; y^$j",
+                                           "oracle": "abelian:0,$i"}}, "placeholder $j"),
+    ({**GOOD_MANIFEST, "valid_i": None}, "valid_i must be an integer"),
+    ({**GOOD_MANIFEST, "limit": {"presentation": 5, "oracle": "abelian:0,0"}},
+     "limit.presentation must be a string"),
+], ids=["no_limit", "not_an_object", "unknown_placeholder", "valid_i_null", "not_a_string"])
+def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsys):
+    (tmp_path / "limit.pres").write_text("gens: x y\nrels: [x,y]\n", encoding="utf-8")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run_cli(["converge", "--family", str(path), "--i", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    # the well-formed manifest in the same place works
+    path.write_text(json.dumps(GOOD_MANIFEST), encoding="utf-8")
+    assert run_cli(["converge", "--family", str(path), "--i", "3"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_workers_below_one_is_an_input_error(workers, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["dehn", "--family", "zxz", "--i", "3", "--n", "2", "--workers", workers], capsys)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--workers: must be at least 1, got {workers}" in captured.err

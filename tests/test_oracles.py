@@ -11,10 +11,40 @@ from markedgroups.oracles import (
     CosetTableOracle,
     RewritingOracle,
     build_oracle,
-    involution_rules,
 )
 from markedgroups.presentations import parse_presentation, parse_word
-from markedgroups.words import enumerate_ball, make_word
+from markedgroups.words import ball_size, enumerate_ball, make_word, shell
+
+
+def involution_rules(ngens):
+    """x^-1 -> x and xx -> 1 for every generator: the rule system behind RewritingOracle."""
+    return [((-j,), (j,)) for j in range(1, ngens + 1)] + [((j, j), ()) for j in range(1, ngens + 1)]
+
+
+def leftmost_first(rules):
+    """The rewriter that applies the first matching rule at its leftmost match until none does.
+
+    Letters are encoded one character each, so str.find does the matching.
+    """
+    def encode(letters):
+        return "".join(chr(ord("m") + x) for x in letters)
+
+    encoded = [(encode(lhs), encode(rhs)) for lhs, rhs in rules]
+
+    def rewrite(word):
+        text = encode(word)
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in encoded:
+                i = text.find(lhs)
+                if i >= 0:
+                    text = text[:i] + rhs + text[i + len(lhs):]
+                    changed = True
+                    break
+        return tuple(ord(c) - ord("m") for c in text)
+
+    return rewrite
 
 
 # abelian oracle
@@ -53,22 +83,7 @@ def test_d3_enumeration_against_normal_forms(d3):
     # bab -> aba
     forms = {(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)}
     rules = [((1, 1), ()), ((2, 2), ()), ((2, 1, 2), (1, 2, 1))]
-
-    def nf(word):
-        word = tuple(word)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in rules:
-                for i in range(len(word) - len(lhs) + 1):
-                    if word[i:i + len(lhs)] == lhs:
-                        word = word[:i] + rhs + word[i + len(lhs):]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return word
-
+    nf = leftmost_first(rules)
     closure = {nf(f + (g,)) for f in forms for g in (1, 2)}
     assert closure == forms
     # and the table distinguishes exactly these six elements
@@ -136,15 +151,30 @@ def test_table_decide_requires_complete():
 # rewriting oracle
 
 def test_dinf_rewriting_examples():
-    oracle = RewritingOracle(involution_rules(2), True, "involutions", "test")
+    oracle = RewritingOracle()
+    assert oracle.spec == "rewriting:involutions"
     assert oracle.decide(make_word(2, (1, 2, 2, 1))).is_trivial
     assert not oracle.decide(make_word(2, (1, 2, 1, 2))).is_trivial
     assert oracle.decide(make_word(2, (1, 1))).is_trivial
 
 
+@pytest.mark.parametrize("ngens", [2, 3])
+def test_stack_normal_form_matches_rule_system(ngens):
+    # the one-pass stack normal form equals leftmost-first rewriting under
+    # the involution rules on every reduced word of length <= 8
+    oracle = RewritingOracle()
+    rewrite = leftmost_first(involution_rules(ngens))
+    count = 0
+    for length in range(9):
+        for letters in shell(ngens, length):
+            assert oracle.normal_form(letters) == rewrite(letters), letters
+            count += 1
+    assert count == ball_size(ngens, 8)
+
+
 def test_abab_normal_form_by_exhaustive_rewriting():
     # verify no rewrite sequence from abab reaches the empty string
-    rules = [tuple(map(tuple, rule)) for rule in involution_rules(2)]
+    rules = involution_rules(2)
     seen = set()
     frontier = [(1, 2, 1, 2)]
     while frontier:
@@ -158,30 +188,26 @@ def test_abab_normal_form_by_exhaustive_rewriting():
                     frontier.append(s[:i] + rhs + s[i + len(lhs):])
     assert () not in seen
     assert (1, 2, 1, 2) in seen
-
-
-def test_rewriting_requires_confluence_flag():
-    with pytest.raises(ValueError):
-        RewritingOracle(involution_rules(2), False, "involutions", "test")
+    assert RewritingOracle().normal_form((1, 2, 1, 2)) == (1, 2, 1, 2)
 
 
 def test_involution_rules_locally_confluent():
     # all critical pairs of overlapping left-hand sides resolve to a
     # common normal form; with termination this gives confluence
-    oracle = RewritingOracle(involution_rules(2), True, "involutions", "test")
-    rules = oracle.rules
+    rules = involution_rules(2)
+    nf = leftmost_first(rules)
     for (l1, r1), (l2, r2) in itertools.product(rules, repeat=2):
         for k in range(1, min(len(l1), len(l2)) + 1):
             if l1[len(l1) - k:] == l2[:k]:  # suffix of l1 overlaps prefix of l2
                 word = l1 + l2[k:]
                 left = r1 + l2[k:]
                 right = l1[:len(l1) - k] + r2
-                assert oracle.normal_form(left) == oracle.normal_form(right), (l1, l2, word)
+                assert nf(left) == nf(right), (l1, l2, word)
         for i in range(len(l1) - len(l2) + 1):  # l2 inside l1
             if l1[i:i + len(l2)] == l2:
                 left = r1
                 right = l1[:i] + r2 + l1[i + len(l2):]
-                assert oracle.normal_form(left) == oracle.normal_form(right)
+                assert nf(left) == nf(right)
 
 
 # bounded derivation
@@ -211,6 +237,15 @@ def test_product_oracle_componentwise():
     assert oracle.decide(parse_word("x y^3 x^-1", p.gen_names)).is_trivial
     assert not oracle.decide(parse_word("x y^3", p.gen_names)).is_trivial
     assert oracle.decide(make_word(2, ())).is_trivial
+
+
+def test_product_oracle_unsorted_partition_matches_abelian():
+    # parts listed out of generator order: z,x then y
+    p = parse_presentation("gens: x y z\nrels: [x,y]; [x,z]; [y,z]; x^4; y^3")
+    split = build_oracle("product:z,x=abelian:0,4;y=abelian:3", p)
+    full = AbelianOracle((4, 3, 0))
+    for w in enumerate_ball(3, 5):
+        assert split.decide(w).is_trivial == full.decide(w).is_trivial, w
 
 
 def test_product_partition_validation():
