@@ -23,6 +23,18 @@ search outward from the identity would traverse the wrong edge set.
 Uniform-cost search with the frontier expanded in length-lex order makes
 results, certificates and statistics reproducible regardless of call
 order or worker count.
+
+A splice changes a word only at its seam, so successors are read off
+tables rather than spliced one by one.  A table row is keyed by the
+room left under ``length_cap`` and the four letters around the position
+(two on each side, 0 past an end of the word).  It lists, in move
+order, the letters each move inserts and how many it cancels on each
+side; a move that cannot fit under the cap is left out, and a move whose
+cancellation reaches the window's edge, or cancels completely, is
+marked to be spliced in full.  The search therefore reaches the same
+states in the same order as splicing every move at every position.
+Rows are filled on first use and live for one call, in dicts, so no
+size depends on ``length_cap``.
 """
 
 from __future__ import annotations
@@ -156,7 +168,9 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     # identity is generated its depth is minimal.  Each visited state
     # records (parent, move, position) for certificate reconstruction.
     # node_cap bounds the number of distinct states reached, so it also
-    # bounds the memory of the parents map.
+    # bounds the memory of the parents map.  tables[room][window] holds
+    # the _window_row of a seam window (see the module docstring).
+    tables: dict[int, dict[tuple[int, ...], list]] = {}
     parents: dict = {target: None}
     frontier = [target]
     explored = 1
@@ -164,12 +178,22 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     while frontier and goal_entry is None:
         next_frontier = []
         for state in frontier:
+            room = length_cap - len(state)
+            table = tables.setdefault(room, {})
+            padded = (0, 0) + state + (0, 0)
             for pos in range(len(state) + 1):
-                prefix = state[:pos]
-                suffix = state[pos:]
-                for mi, mv in enumerate(move_words):
-                    nxt = _splice(prefix, mv, suffix)
-                    if len(nxt) > length_cap or nxt in parents:
+                window = padded[pos:pos + 4]
+                row = table.get(window)
+                if row is None:
+                    row = table[window] = _window_row(move_words, window, room)
+                for mi, k1, k2, mid in row:
+                    if mid is None:
+                        nxt = _splice(state[:pos], move_words[mi], state[pos:])
+                        if len(nxt) > length_cap:
+                            continue
+                    else:
+                        nxt = state[:pos - k1] + mid + state[pos + k2:]
+                    if nxt in parents:
                         continue
                     if not nxt:
                         goal_entry = (state, mi, pos)
@@ -215,6 +239,39 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     if not verify_certificate(pres, w, cert):
         raise RuntimeError("internal error: reconstructed certificate failed verification")
     return AreaResult(len(factors), True, cert, stats)
+
+
+def _window_row(
+    moves: list[tuple[int, ...]], window: tuple[int, ...], room: int
+) -> list[tuple[int, int, int, tuple[int, ...] | None]]:
+    """Successors of one splice position, read off its seam window.
+
+    ``window`` holds the two letters on each side of the position, 0
+    past an end of the word; ``room`` is how many letters the word may
+    still grow.  Entries ``(mi, k1, k2, mid)`` follow move order: move
+    ``mi`` cancels ``k1`` letters on the left and ``k2`` on the right, so
+    the successor is ``state[:pos-k1] + mid + state[pos+k2:]``.  Where
+    the window cannot tell the result (a cancellation reaches its edge,
+    or the whole move cancels and the seams meet), ``mid`` is None and
+    the caller splices and tests the cap itself.  Moves whose known
+    result is longer than ``room`` allows are left out.
+    """
+    left = (window[1], window[0])
+    right = window[2:]
+    row = []
+    for mi, mv in enumerate(moves):
+        n = len(mv)
+        k1 = 0
+        while k1 < 2 and k1 < n and mv[k1] == -left[k1]:
+            k1 += 1
+        k2 = 0
+        while k2 < 2 and k1 + k2 < n and mv[n - 1 - k2] == -right[k2]:
+            k2 += 1
+        if k1 == 2 or k2 == 2 or k1 + k2 == n:
+            row.append((mi, 0, 0, None))
+        elif n - 2 * (k1 + k2) <= room:
+            row.append((mi, k1, k2, mv[k1:n - k2]))
+    return row
 
 
 def expand_certificate(pres: Presentation, cert: Certificate) -> Word:

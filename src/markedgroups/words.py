@@ -72,8 +72,12 @@ def letter_key(x: int) -> tuple[int, int]:
 
 
 def letters_key(letters: tuple[int, ...]) -> tuple:
-    """Length-lex sort key for a raw letter tuple."""
-    return (len(letters), tuple(letter_key(x) for x in letters))
+    """Length-lex sort key for a raw letter tuple.
+
+    Each letter becomes the one integer ``2*abs(x) - (x > 0)``, which
+    orders letters as :func:`letter_key` does.
+    """
+    return (len(letters), tuple([2 * x - 1 if x > 0 else -2 * x for x in letters]))
 
 
 def _check_letters(ngens: int, letters: Iterable[int]) -> None:
@@ -101,6 +105,14 @@ class Word:
         for i in range(len(self.letters) - 1):
             if self.letters[i] == -self.letters[i + 1]:
                 raise ValueError("letters not freely reduced; use make_word()")
+
+    @classmethod
+    def _trusted(cls, ngens: int, letters: tuple[int, ...]) -> "Word":
+        """A word from letters known to be reduced and in range; skips validation."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "ngens", ngens)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -187,9 +199,10 @@ def enumerate_ball(ngens: int, radius: int) -> Iterator[Word]:
         raise ValueError("radius must be nonnegative")
     if ngens < 1:
         raise ValueError("need at least one generator")
+    # shell yields reduced, in-range tuples, so validation is skipped
     for length in range(radius + 1):
         for letters in shell(ngens, length):
-            yield Word(ngens, letters)
+            yield Word._trusted(ngens, letters)
 
 
 def ball_size(ngens: int, radius: int) -> int:

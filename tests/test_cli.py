@@ -13,6 +13,7 @@ from markedgroups.cache import ENV_VAR
 from markedgroups.families import FamilySpec
 
 GOLDEN = Path(__file__).parent / "data" / "verify_theorem"
+AREA_GOLDEN = Path(__file__).parent / "data" / "area"
 
 
 @pytest.fixture
@@ -52,6 +53,29 @@ def test_area_parse_error_exit_code(pres_dir, capsys):
     code, _, err = run_cli(["area", "-p", str(pres_dir / "broken.pres"), "-w", "x"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("word, fmt, fixture", [
+    (word, fmt, f"{name}_cap14.{ext}")
+    for name, word in (("x33", "x^3 y^3 x^-3 y^-3"), ("x24", "x^2 y^4 x^-2 y^-4"))
+    for fmt, ext in (("json", "json"), ("table", "txt"), ("csv", "csv"))
+])
+def test_area_matches_golden_report(word, fmt, fixture, capsys, monkeypatch):
+    # fixtures were captured from the splice-everything search; the
+    # successor tables must reach the same states in the same order
+    monkeypatch.chdir(AREA_GOLDEN)
+    code, out, err = run_cli(["area", "-p", "z2.pres", "-w", word, "--length-cap", "14", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == (AREA_GOLDEN / fixture).read_text(encoding="utf-8")
+
+
+def test_area_node_cap_matches_golden_error(capsys, monkeypatch):
+    monkeypatch.chdir(AREA_GOLDEN)
+    code, out, err = run_cli(
+        ["area", "-p", "z2.pres", "-w", "x^3 y^3 x^-3 y^-3", "--length-cap", "14", "--node-cap", "3000"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == (AREA_GOLDEN / "x33_cap14_nodes3000.err").read_text(encoding="utf-8")
 
 
 def test_dehn_family(capsys):

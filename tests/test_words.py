@@ -12,6 +12,8 @@ from markedgroups.words import (
     cyclic_permutations,
     enumerate_ball,
     free_reduce,
+    letter_key,
+    letters_key,
     make_word,
     shell,
     word_to_str,
@@ -137,6 +139,16 @@ def test_ball_m3_radius8_count_only():
     assert count == ball_size(3, 8)
 
 
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_ball_words_equal_validated_words(ngens):
+    # enumerate_ball skips validation; its words must equal validated ones
+    expected = [Word(ngens, letters) for length in range(7) for letters in shell(ngens, length)]
+    got = list(enumerate_ball(ngens, 6))
+    assert got == expected
+    assert [hash(w) for w in got] == [hash(w) for w in expected]
+    assert all(type(w.letters) is tuple and w.ngens == ngens for w in got)
+
+
 def test_ball_is_length_lex_sorted():
     words = list(enumerate_ball(2, 4))
     keys = [w.sort_key() for w in words]
@@ -163,3 +175,10 @@ reduced = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(free
 def test_splice_equals_free_reduction(a, b, c):
     # the seam-only cancellation agrees with a full rescan on reduced parts
     assert _splice(a, b, c) == free_reduce(a + b + c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(reduced, max_size=30))
+def test_letters_key_orders_as_letter_pairs(words):
+    # one integer per letter sorts exactly as the (index, sign) pairs
+    assert sorted(words, key=letters_key) == sorted(words, key=lambda w: (len(w), tuple(map(letter_key, w))))
