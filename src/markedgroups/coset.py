@@ -54,6 +54,27 @@ class CayleyTable:
             current = self.rows[current][_column(x)]
         return current
 
+    def act(self, coset: int, letter: int) -> int | None:
+        """Image of ``coset`` under one signed generator."""
+        return self.rows[coset][_column(letter)]
+
+    def distances(self) -> tuple[int, ...]:
+        """Length of a shortest word taking coset 0 to each coset (complete tables).
+
+        One breadth-first search over the table.  In a Cayley table this
+        is the word length of each element, which is also the length of a
+        shortest word taking the element back to the identity.
+        """
+        dist = [-1] * len(self.rows)
+        dist[0] = 0
+        queue = [0]
+        for coset in queue:
+            for image in self.rows[coset]:
+                if dist[image] < 0:
+                    dist[image] = dist[coset] + 1
+                    queue.append(image)
+        return tuple(dist)
+
     def is_regular(self) -> bool:
         """Check each generator column is a permutation (complete tables)."""
         if not self.complete:

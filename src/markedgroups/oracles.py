@@ -9,6 +9,27 @@ fallback (bounded derivation search) is sound everywhere but may answer
 guessing: walks ask :meth:`Oracle.is_trivial`, which returns the exact
 verdict or raises :class:`UnknownVerdictError`.
 
+Every exact oracle except a product with an inexact part is also a state
+automaton over the signed generators:
+
+    start(ngens)             the state of the empty word, or None when the
+                             oracle has no automaton (then consumers fall
+                             back to deciding words one by one); a marking
+                             mismatch raises the ValueError decide raises
+    step(state, letter)      the state after one more letter
+    identity_distance(state) a consistent lower bound on the letters
+                             needed to get back to the identity: one step
+                             changes it by at most 1, and it is 0 exactly
+                             when the word read so far is trivial
+
+States are hashable.  Folding ``step`` over any word, reduced or not,
+reaches a state at distance 0 exactly when ``decide`` calls the word
+trivial.  The states, oracle by oracle: the exponent vector reduced
+modulo the orders (abelian), the row index with distances from one
+breadth-first search over the table (coset), the stack normal form
+(rewriting), the reduced word (free) and the tuple of component states
+(product).
+
 Oracle spec strings (used by family registries, manifests and the CLI):
 
     abelian:0,5              exponent sums, 0 meaning infinite order
@@ -97,6 +118,18 @@ class Oracle:
             raise UnknownVerdictError(w, self)
         return verdict.is_trivial
 
+    def start(self, ngens: int):
+        """State of the empty word over ``ngens`` generators; None: no automaton."""
+        return None
+
+    def step(self, state, letter: int):
+        """State after reading one more letter."""
+        raise NotImplementedError
+
+    def identity_distance(self, state) -> int:
+        """Consistent lower bound on the letters back to the identity; 0 iff trivial."""
+        raise NotImplementedError
+
 
 class AbelianOracle(Oracle):
     """Exact for abelian groups with the given generator orders.
@@ -128,6 +161,21 @@ class AbelianOracle(Oracle):
                 return NONTRIVIAL
         return TRIVIAL
 
+    def start(self, ngens: int) -> tuple[int, ...]:
+        if ngens != len(self.orders):
+            raise ValueError("orders vector length does not match the word's marking")
+        return (0,) * ngens
+
+    def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
+        j = abs(letter) - 1
+        e = state[j] + (1 if letter > 0 else -1)
+        if self.orders[j]:
+            e %= self.orders[j]
+        return state[:j] + (e,) + state[j + 1 :]
+
+    def identity_distance(self, state: tuple[int, ...]) -> int:
+        return sum(min(e, o - e) if o else abs(e) for e, o in zip(state, self.orders))
+
 
 class CosetTableOracle(Oracle):
     """Exact for finite groups: trace words through the regular action."""
@@ -138,6 +186,7 @@ class CosetTableOracle(Oracle):
                 "coset table is incomplete; raise max_cosets (the group may be infinite)"
             )
         self.table = table
+        self.distances = table.distances()
         self.spec = spec or "coset"
         self.soundness = f"the finite group with {table.cosets} elements given by its presentation"
         self.exact = True
@@ -151,6 +200,17 @@ class CosetTableOracle(Oracle):
         if w.ngens != self.table.ngens:
             raise ValueError("word marking does not match the table")
         return TRIVIAL if self.table.trace(w.letters) == 0 else NONTRIVIAL
+
+    def start(self, ngens: int) -> int:
+        if ngens != self.table.ngens:
+            raise ValueError("word marking does not match the table")
+        return 0
+
+    def step(self, state: int, letter: int) -> int:
+        return self.table.act(state, letter)
+
+    def identity_distance(self, state: int) -> int:
+        return self.distances[state]
 
 
 class RewritingOracle(Oracle):
@@ -180,6 +240,16 @@ class RewritingOracle(Oracle):
     def decide(self, w: Word) -> Verdict:
         return TRIVIAL if not self.normal_form(w.letters) else NONTRIVIAL
 
+    def start(self, ngens: int) -> tuple[int, ...]:
+        return ()
+
+    def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
+        g = abs(letter)
+        return state[:-1] if state and state[-1] == g else state + (g,)
+
+    def identity_distance(self, state: tuple[int, ...]) -> int:
+        return len(state)
+
 
 class FreeOracle(Oracle):
     """Exact for presentations with no relators: trivial means empty."""
@@ -191,6 +261,15 @@ class FreeOracle(Oracle):
 
     def decide(self, w: Word) -> Verdict:
         return TRIVIAL if not w.letters else NONTRIVIAL
+
+    def start(self, ngens: int) -> tuple[int, ...]:
+        return ()
+
+    def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
+        return state[:-1] if state and state[-1] == -letter else state + (letter,)
+
+    def identity_distance(self, state: tuple[int, ...]) -> int:
+        return len(state)
 
 
 class BoundedDerivationOracle(Oracle):
@@ -242,6 +321,8 @@ class ProductOracle(Oracle):
             {x: k + 1 if x > 0 else -(k + 1) for k, g in enumerate(part) for x in (g, -g)}
             for _, part in components
         )
+        # letter -> (component index, signed letter of the component's marking)
+        self.routes = {x: (k, index[x]) for k, index in enumerate(self.projections) for x in index}
         self.ngens = ngens
         self.spec = "product:" + ";".join(
             f"{','.join(str(g) for g in part)}={oracle.spec}" for oracle, part in components
@@ -262,6 +343,19 @@ class ProductOracle(Oracle):
                 unknown = verdict
         return unknown if unknown is not None else TRIVIAL
 
+    def start(self, ngens: int) -> tuple | None:
+        if ngens != self.ngens:
+            raise ValueError("word marking does not match the partition")
+        states = tuple(oracle.start(len(part)) for oracle, part in self.components)
+        return None if None in states else states
+
+    def step(self, state: tuple, letter: int) -> tuple:
+        k, x = self.routes[letter]
+        return state[:k] + (self.components[k][0].step(state[k], x),) + state[k + 1 :]
+
+    def identity_distance(self, state: tuple) -> int:
+        return sum(oracle.identity_distance(s) for (oracle, _), s in zip(self.components, state))
+
 
 def build_oracle(spec: str, pres: Presentation) -> Oracle:
     """Construct an oracle from its spec string, against a presentation."""
@@ -281,7 +375,13 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
         return RewritingOracle()
     if head == "derivation":
         if rest:
-            length_cap, node_cap = (int(part) for part in rest.split(","))
+            try:
+                length_cap, node_cap = (int(part) for part in rest.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"oracle spec {spec!r}: derivation takes two integers "
+                    f"'length_cap,node_cap', got {rest!r}"
+                ) from None
         else:
             length_cap, node_cap = 16, 50000
         return BoundedDerivationOracle(pres, Caps(length_cap, node_cap))
@@ -293,10 +393,17 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
         components = []
         for item in rest.split(";"):
             names, _, sub = item.partition("=")
-            part = tuple(pres.gen_names.index(n.strip()) + 1 for n in names.split(","))
+            part = []
+            for name in (n.strip() for n in names.split(",")):
+                if name not in pres.gen_names:
+                    raise ValueError(
+                        f"oracle spec {spec!r}: unknown generator {name!r} "
+                        f"(the presentation has {', '.join(pres.gen_names)})"
+                    )
+                part.append(pres.gen_names.index(name) + 1)
             sub_names = tuple(pres.gen_names[g - 1] for g in part)
             sub_pres = Presentation(sub_names, ())
-            components.append((build_oracle(sub, sub_pres), part))
+            components.append((build_oracle(sub, sub_pres), tuple(part)))
         return ProductOracle(tuple(components), pres.ngens)
     raise ValueError(f"unknown oracle spec {spec!r}")
 

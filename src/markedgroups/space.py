@@ -7,7 +7,21 @@ comparison.  Equality of marked groups is not finitely certifiable, so
 the best possible verdict from a bounded scan is "agrees through
 lambda_max", reported as an upper bound on the distance.
 
-Both walks iterate :func:`enumerate_ball` in length-lex order and ask
+Both walk states, not words, when the oracles are state automata (see
+:mod:`markedgroups.oracles`):
+
+- :func:`distance` runs a breadth-first search by length over triples
+  (state1, state2, last letter) and stops at the first length where
+  exactly one side is the identity.  A triple is dropped once
+  min(d1, d2) exceeds the letters left, where d is the oracle's
+  ``identity_distance``: no extension of it can reach the identity on
+  either side within lambda_max, so none can make the sides differ.
+- :func:`rel_ball`, and ``dehn`` through :func:`trivial_letters`, run a
+  depth-first search over reduced prefixes and drop a prefix once its
+  ``identity_distance`` exceeds the letters left.
+
+When an oracle has no automaton (``start`` returns None), the walk
+iterates :func:`enumerate_ball` in length-lex order and asks
 :meth:`Oracle.is_trivial`, so an unknown verdict raises
 :class:`UnknownVerdictError` at the first undecided word.
 """
@@ -21,7 +35,14 @@ from .oracles import Oracle
 from .presentations import Presentation
 from .words import Word, enumerate_ball
 
-__all__ = ["RelationBall", "MarkedDistance", "rel_ball", "distance", "convergence_report"]
+__all__ = [
+    "RelationBall",
+    "MarkedDistance",
+    "rel_ball",
+    "trivial_letters",
+    "distance",
+    "convergence_report",
+]
 
 
 @dataclass(frozen=True)
@@ -70,9 +91,50 @@ class MarkedDistance:
         return f"d {op} e^-{self.lam} ({self.display:.6g})"
 
 
+def _alphabet(ngens: int) -> list[int]:
+    return [x for g in range(1, ngens + 1) for x in (g, -g)]
+
+
+def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, ...]] | None:
+    """Letter tuples of the trivial reduced words of length <= radius, in no set order.
+
+    A depth-first search over reduced prefixes that drops a prefix once
+    its ``identity_distance`` exceeds the letters left.  None when the
+    oracle has no automaton.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    state = oracle.start(ngens)
+    if state is None:
+        return None
+    step, identity_distance = oracle.step, oracle.identity_distance
+    alphabet = _alphabet(ngens)
+    found = []
+    stack = [((), state, 0)]  # (letters, state, identity distance)
+    while stack:
+        letters, state, d = stack.pop()
+        if d == 0:
+            found.append(letters)
+        room = radius - len(letters) - 1
+        if room < 0:
+            continue
+        last = letters[-1] if letters else 0
+        for x in alphabet:
+            if x != -last:
+                nxt = step(state, x)
+                d = identity_distance(nxt)
+                if d <= room:
+                    stack.append((letters + (x,), nxt, d))
+    return found
+
+
 def rel_ball(pres: Presentation, oracle: Oracle, radius: int) -> RelationBall:
-    """Filter the free-group ball through the triviality oracle."""
-    members = frozenset(w for w in enumerate_ball(pres.ngens, radius) if oracle.is_trivial(w))
+    """Every trivial reduced word of length <= radius."""
+    found = trivial_letters(oracle, pres.ngens, radius)
+    if found is None:
+        members = frozenset(w for w in enumerate_ball(pres.ngens, radius) if oracle.is_trivial(w))
+    else:
+        members = frozenset(Word._trusted(pres.ngens, letters) for letters in found)
     return RelationBall(radius, members)
 
 
@@ -83,19 +145,48 @@ def distance(
     oracle2: Oracle,
     lambda_max: int,
 ) -> MarkedDistance:
-    """Scan the ball outward, stopping at the first disagreement.
+    """Search the ball outward, stopping at the first disagreement.
 
     Two balls of the same radius are equal iff every word of that length
-    gets the same verdict from both sides, so the scan can stop at the
-    first differing word.  Each word is put to ``oracle1`` first.
+    gets the same verdict from both sides, so the search can stop at the
+    first length with a differing word.  With two automata that is a
+    breadth-first search over (state1, state2, last letter); one ``seen``
+    set serves all lengths, since a triple met again later leads to
+    nothing new.  Otherwise the ball is scanned in length-lex order and
+    each word is put to ``oracle1`` first.
     """
     if pres1.ngens != pres2.ngens:
         raise ValueError("marked groups live in different spaces (generator counts differ)")
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    for w in enumerate_ball(pres1.ngens, lambda_max):
-        if oracle1.is_trivial(w) != oracle2.is_trivial(w):
-            return MarkedDistance("exact", len(w) - 1)
+    state1 = oracle1.start(pres1.ngens)
+    state2 = None if state1 is None else oracle2.start(pres2.ngens)
+    if state2 is None:
+        for w in enumerate_ball(pres1.ngens, lambda_max):
+            if oracle1.is_trivial(w) != oracle2.is_trivial(w):
+                return MarkedDistance("exact", len(w) - 1)
+        return MarkedDistance("at_most", lambda_max)
+    step1, step2 = oracle1.step, oracle2.step
+    distance1, distance2 = oracle1.identity_distance, oracle2.identity_distance
+    alphabet = _alphabet(pres1.ngens)
+    level = [(state1, state2, 0)]
+    seen = set(level)
+    for length in range(1, lambda_max + 1):
+        room = lambda_max - length
+        following = []
+        for s1, s2, last in level:
+            for x in alphabet:
+                if x == -last:
+                    continue
+                t1, t2 = step1(s1, x), step2(s2, x)
+                d1, d2 = distance1(t1), distance2(t2)
+                if (d1 == 0) != (d2 == 0):
+                    return MarkedDistance("exact", length - 1)
+                triple = (t1, t2, x)
+                if min(d1, d2) <= room and triple not in seen:
+                    seen.add(triple)
+                    following.append(triple)
+        level = following
     return MarkedDistance("at_most", lambda_max)
 
 

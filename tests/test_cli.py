@@ -380,3 +380,16 @@ def test_workers_below_one_is_an_input_error(workers, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--workers: must be at least 1, got {workers}" in captured.err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("product:x=abelian:0;q=abelian:0",
+     "oracle spec 'product:x=abelian:0;q=abelian:0': unknown generator 'q' (the presentation has x, y)"),
+    ("derivation:5",
+     "oracle spec 'derivation:5': derivation takes two integers 'length_cap,node_cap', got '5'"),
+], ids=["unknown_generator", "derivation_one_field"])
+def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
+    code, out, err = run_cli(
+        ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,0 +1,231 @@
+"""Oracle state automata against decide, and the state walks against the word scan.
+
+Each exact oracle reads words letter by letter through ``start`` and
+``step``; ``identity_distance`` is a consistent lower bound that is 0
+exactly at the identity.  ``distance``, ``rel_ball`` and ``dehn`` walk
+those states when both sides have them.  The reference below is the same
+oracle behind a wrapper whose ``start`` returns None, which sends every
+walk down the word scan.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from markedgroups.area import Caps
+from markedgroups.dehn import DehnComputationError, dehn
+from markedgroups.families import get_family
+from markedgroups.oracles import (
+    AbelianOracle,
+    FreeOracle,
+    Oracle,
+    ProductOracle,
+    UnknownVerdictError,
+    build_oracle,
+)
+from markedgroups.presentations import parse_presentation
+from markedgroups.space import distance, rel_ball
+from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+class ScanOracle(Oracle):
+    """The wrapped oracle's verdicts with no automaton: walks scan words."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.spec, self.soundness, self.exact = inner.spec, inner.soundness, inner.exact
+
+    def decide(self, w):
+        return self.inner.decide(w)
+
+
+def _pres_and_oracle(text, spec):
+    pres = parse_presentation(text)
+    return pres, build_oracle(spec, pres)
+
+
+def _group(name):
+    """(presentation, oracle) for the pool, by short name."""
+    if name.startswith("dihedral"):
+        return get_family("dihedral").member(int(name[len("dihedral"):]))
+    return _pres_and_oracle(*{
+        "z": ("gens: x\nrels:", "abelian:0"),
+        "z2xz5": ("gens: x y\nrels: x^2; y^5; [x,y]", "abelian:2,5"),
+        "z2": ("gens: x y\nrels: [x,y]", "abelian:0,0"),
+        "zxz2": ("gens: x y\nrels: [x,y]; y^2", "abelian:0,2"),
+        "z5xz": ("gens: x y\nrels: [x,y]; x^5", "abelian:5,0"),
+        "dinf": ("gens: x y\nrels: x^2; y^2", "rewriting:involutions"),
+        "f2": ("gens: x y\nrels:", "free"),
+        "zxz5_product": ("gens: x y\nrels: [x,y]; y^5", "product:x=free;y=abelian:5"),
+        "z2xz3_product": ("gens: x y\nrels: [x,y]; y^3", "product:x=abelian:0;y=abelian:3"),
+        "z025": ("gens: a b c\nrels: [a,b]; [a,c]; [b,c]; b^2; c^5", "abelian:0,2,5"),
+        "f2xz_product": ("gens: a b c\nrels: [a,c]; [b,c]", "product:a,b=free;c=abelian:0"),
+    }[name])
+
+
+POOL = {
+    1: ["z"],
+    2: ["z2xz5", "z2", "zxz2", "z5xz", "dihedral3", "dihedral4", "dihedral5", "dihedral6",
+        "dinf", "f2", "zxz5_product", "z2xz3_product"],
+    3: ["z025", "f2xz_product"],
+}
+ALL = [name for names in POOL.values() for name in names]
+GROUPS = {name: _group(name) for name in ALL}
+
+
+def _fold(oracle, ngens, letters):
+    state = oracle.start(ngens)
+    states = [state]
+    for x in letters:
+        state = oracle.step(state, x)
+        states.append(state)
+    return states
+
+
+@st.composite
+def group_and_letters(draw):
+    """A pool group and a word over its generators, not always reduced.
+
+    Half the words are closed by the inverse of a shuffle of their
+    letters, which is trivial in every abelian group; runs of one letter
+    reach the finite orders.
+    """
+    name = draw(st.sampled_from(ALL))
+    ngens = GROUPS[name][0].ngens
+    runs = draw(st.lists(st.tuples(st.integers(1, ngens), st.sampled_from((1, -1)),
+                                   st.integers(1, 6)), max_size=5))
+    letters = [g * sign for g, sign, k in runs for _ in range(k)]
+    if draw(st.booleans()):
+        letters += [-x for x in reversed(draw(st.permutations(letters)))]
+    return name, letters
+
+
+@SETTINGS
+@given(group_and_letters())
+def test_folded_state_is_identity_exactly_when_decide_says_trivial(case):
+    name, letters = case
+    pres, oracle = GROUPS[name]
+    states = _fold(oracle, pres.ngens, letters)
+    trivial = oracle.decide(Word(pres.ngens, free_reduce(letters))).is_trivial
+    assert (oracle.identity_distance(states[-1]) == 0) == trivial
+    assert _fold(oracle, pres.ngens, free_reduce(letters))[-1] == states[-1]
+
+
+@SETTINGS
+@given(group_and_letters())
+def test_identity_distance_is_consistent(case):
+    name, letters = case
+    pres, oracle = GROUPS[name]
+    alphabet = [x for g in range(1, pres.ngens + 1) for x in (g, -g)]
+    states = _fold(oracle, pres.ngens, letters)
+    assert oracle.identity_distance(states[0]) == 0
+    for state in states:
+        d = oracle.identity_distance(state)
+        assert d >= 0
+        for x in alphabet:
+            assert abs(oracle.identity_distance(oracle.step(state, x)) - d) <= 1
+
+
+@SETTINGS
+@given(st.sampled_from([(a, b) for names in POOL.values() for a in names for b in names]),
+       st.integers(0, 8))
+def test_distance_equals_the_scan(pair, lambda_max):
+    (pres1, oracle1), (pres2, oracle2) = GROUPS[pair[0]], GROUPS[pair[1]]
+    expected = distance(pres1, ScanOracle(oracle1), pres2, ScanOracle(oracle2), lambda_max)
+    assert distance(pres1, oracle1, pres2, oracle2, lambda_max) == expected
+
+
+@SETTINGS
+@given(st.sampled_from(ALL), st.integers(0, 8))
+def test_rel_ball_equals_the_scan(name, radius):
+    pres, oracle = GROUPS[name]
+    if pres.ngens == 3:
+        radius = min(radius, 5)
+    assert rel_ball(pres, oracle, radius) == rel_ball(pres, ScanOracle(oracle), radius)
+
+
+def _dehn_outcome(pres, oracle, n, caps):
+    try:
+        return dehn(pres, oracle, n, caps)
+    except DehnComputationError as exc:
+        return ("error", str(exc), exc.word)
+
+
+@SETTINGS
+@given(st.sampled_from(ALL), st.integers(0, 6), st.sampled_from([(6, 10**6), (2, 10)]))
+def test_dehn_equals_the_scan(name, n, cap_choice):
+    # (2, 10): length cap n + 2 and a node cap of 10, under which about a
+    # quarter of the sweeps fail, so the first failing word is compared too.
+    pres, oracle = GROUPS[name]
+    if pres.ngens == 3:
+        n = min(n, 4)
+    extra, node_cap = cap_choice
+    caps = Caps(n + extra, node_cap)
+    assert _dehn_outcome(pres, oracle, n, caps) == _dehn_outcome(pres, ScanOracle(oracle), n, caps)
+
+
+@pytest.mark.parametrize("i", [3, 4, 5, 6])
+def test_coset_identity_distance_is_the_word_length(i):
+    pres, oracle = GROUPS[f"dihedral{i}"]
+    shortest = {}
+    for w in enumerate_ball(pres.ngens, i):  # the diameter of the dihedral group of order 2i
+        shortest.setdefault(oracle.table.trace(w.letters), len(w))
+    assert shortest == {state: oracle.identity_distance(state) for state in range(2 * i)}
+
+
+class CountingFreeOracle(FreeOracle):
+    def __init__(self, counter):
+        super().__init__()
+        self.counter = counter
+
+    def step(self, state, letter):
+        self.counter[0] += 1
+        return super().step(state, letter)
+
+
+def test_distance_prune_bounds_the_steps_of_free_against_free():
+    # min(d1, d2) > letters left drops every pair of reduced words longer
+    # than 6 at lambda 12; without the prune this takes about 2.1M steps.
+    pres = parse_presentation("gens: x y\nrels:")
+    counter = [0]
+    d = distance(pres, CountingFreeOracle(counter), pres, CountingFreeOracle(counter), 12)
+    assert d.kind == "at_most" and d.lam == 12
+    assert counter[0] <= 2 * 4 * ball_size(2, 6)
+
+
+def _mismatched_oracles():
+    a3 = parse_presentation("gens: a\nrels: a^3")
+    return [
+        AbelianOracle((0, 0, 0)),
+        build_oracle("coset", a3),
+        ProductOracle(((FreeOracle(), (1,)), (AbelianOracle((0,)), (2,)), (FreeOracle(), (3,))), 3),
+    ]
+
+
+@pytest.mark.parametrize("bad", _mismatched_oracles(), ids=["abelian", "coset", "product"])
+def test_marking_mismatch_raises_the_decide_error_from_every_walk(bad):
+    pres, good = GROUPS["z2"]
+    with pytest.raises(ValueError) as decided:
+        bad.decide(Word(pres.ngens, ()))
+    message = str(decided.value)
+    for call in (lambda: rel_ball(pres, bad, 3),
+                 lambda: dehn(pres, bad, 3, Caps(8, 1000)),
+                 lambda: distance(pres, bad, pres, good, 3),
+                 lambda: distance(pres, good, pres, bad, 3)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_product_with_a_derivation_part_has_no_automaton_and_scans_words():
+    pres = parse_presentation("gens: x y\nrels: [x,y]; y^3")
+    oracle = build_oracle("product:x=derivation:8,50;y=abelian:3", pres)
+    assert oracle.start(2) is None and build_oracle("derivation:8,50", pres).start(2) is None
+    # with no relators the derivation part cannot decide x, the first nonempty word
+    for call in (lambda: rel_ball(pres, oracle, 3), lambda: dehn(pres, oracle, 3, Caps(8, 50)),
+                 lambda: distance(pres, GROUPS["z2xz3_product"][1], pres, oracle, 3)):
+        with pytest.raises(UnknownVerdictError) as err:
+            call()
+        assert err.value.word == Word(2, (1,)) and err.value.oracle is oracle
