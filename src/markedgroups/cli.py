@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: area, dehn, rel-ball, dist, converge, verify-theorem.
-Common flags: --format table|json|csv, --cache-dir, --length-cap,
---node-cap, --lambda-max, --workers.
+Each takes --format table|json|csv, --cache-dir (read only by dehn) and
+only the options it reads: --length-cap and --node-cap (area, dehn,
+verify-theorem), --workers (dehn, verify-theorem), --lambda-max (dist,
+converge).
 
 Exit codes: 0 success; 2 input or parse error; 3 area not found within
 caps; 4 unknown oracle verdict or inconclusive values; 5 a checked
@@ -49,13 +51,22 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_OPTIONS = {
+    "--length-cap": dict(type=int, default=None, help="max intermediate word length in area searches"),
+    "--node-cap": dict(type=int, default=1_000_000, help="max states explored per area search"),
+    "--lambda-max": dict(type=int, default=10, help="largest radius scanned for ball agreement"),
+    "--workers": dict(type=_worker_count, default=1, help="parallel workers for per-word area searches"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--format and --cache-dir, then the named entries of ``_OPTIONS``."""
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parser.add_argument("--cache-dir", default=None, help="result cache directory (env MARKEDGROUPS_CACHE_DIR)")
-    parser.add_argument("--length-cap", type=int, default=None, help="max intermediate word length in area searches")
-    parser.add_argument("--node-cap", type=int, default=1_000_000, help="max states explored per area search")
-    parser.add_argument("--lambda-max", type=int, default=10, help="largest radius scanned for ball agreement")
-    parser.add_argument("--workers", type=_worker_count, default=1, help="parallel workers for per-word area searches")
+    parser.add_argument(
+        "--cache-dir", default=None, help="result cache directory (env MARKEDGROUPS_CACHE_DIR); only dehn reads it"
+    )
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_area = sub.add_parser("area", help="area of a word with a verifiable certificate")
     p_area.add_argument("-p", "--presentation", required=True, help="presentation file")
     p_area.add_argument("-w", "--word", required=True, help="word expression")
-    _add_common(p_area)
+    _add_options(p_area, "--length-cap", "--node-cap")
 
     p_dehn = sub.add_parser("dehn", help="Dehn-function table over a list of radii")
     p_dehn.add_argument("-p", "--presentation", help="presentation file")
@@ -77,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dehn.add_argument("--family", help="built-in family name or manifest path")
     p_dehn.add_argument("--i", help="family index")
     p_dehn.add_argument("--n", required=True, help="comma-separated radii, e.g. 2,4,6")
-    _add_common(p_dehn)
+    _add_options(p_dehn, "--length-cap", "--node-cap", "--workers")
 
     p_ball = sub.add_parser("rel-ball", help="relation ball of one marked group")
     p_ball.add_argument("-p", "--presentation", help="presentation file")
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball.add_argument("--family", help="built-in family name or manifest path")
     p_ball.add_argument("--i", help="family index")
     p_ball.add_argument("--radius", type=int, required=True)
-    _add_common(p_ball)
+    _add_options(p_ball)
 
     p_dist = sub.add_parser("dist", help="distance between two marked groups")
     p_dist.add_argument("-p1", "--p1", help="first presentation file")
@@ -94,18 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--oracle2", help="oracle spec for the second group")
     p_dist.add_argument("--family", help="family member vs limit instead of two files")
     p_dist.add_argument("--i", help="family index")
-    _add_common(p_dist)
+    _add_options(p_dist, "--lambda-max")
 
     p_conv = sub.add_parser("converge", help="distance of each family member to the limit")
     p_conv.add_argument("--family", required=True)
     p_conv.add_argument("--i", required=True, help="range like 3..7 or comma list")
-    _add_common(p_conv)
+    _add_options(p_conv, "--lambda-max")
 
     p_thm = sub.add_parser("verify-theorem", help="check the convergence inequalities member by member")
     p_thm.add_argument("--family", required=True)
     p_thm.add_argument("--i", required=True, help="range like 3..6 or comma list")
     p_thm.add_argument("--n", required=True, help="comma-separated radii")
-    _add_common(p_thm)
+    _add_options(p_thm, "--length-cap", "--node-cap", "--workers")
 
     return parser
 
@@ -129,6 +140,18 @@ def _parse_radii(text: str) -> list[int]:
     return radii
 
 
+def _family_member(args):
+    """The family named by --family and the one index given by --i."""
+    if args.i is None:
+        raise ValueError("--family requires --i")
+    family = get_family(args.family)
+    try:
+        i = int(args.i)
+    except ValueError:
+        raise ValueError(f"--i {args.i!r}: {args.command} takes one integer index") from None
+    return family, i
+
+
 def _load_presentation_file(path: str) -> Presentation:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_presentation(handle.read(), name=path)
@@ -137,10 +160,8 @@ def _load_presentation_file(path: str) -> Presentation:
 def _resolve_group(args) -> tuple[Presentation, object, str]:
     """Presentation plus oracle from either -p/--oracle or --family/--i."""
     if args.family:
-        if args.i is None:
-            raise ValueError("--family requires --i")
-        family = get_family(args.family)
-        pres, oracle = family.member(int(args.i))
+        family, i = _family_member(args)
+        pres, oracle = family.member(i)
         return pres, oracle, f"{family.name}[{args.i}]"
     if not args.presentation:
         raise ValueError("give either -p FILE or --family NAME --i K")
@@ -278,10 +299,8 @@ def cmd_rel_ball(args) -> int:
 
 def cmd_dist(args) -> int:
     if args.family:
-        if args.i is None:
-            raise ValueError("--family requires --i")
-        family = get_family(args.family)
-        pres1, oracle1 = family.member(int(args.i))
+        family, i = _family_member(args)
+        pres1, oracle1 = family.member(i)
         pres2, oracle2 = family.limit()
         label1, label2 = f"{family.name}[{args.i}]", f"{family.name}[limit]"
     else:

@@ -34,7 +34,7 @@ from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle
 from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance, trivial_letters
-from .words import Word, enumerate_ball, invert_letters, letter_key, letters_key
+from .words import Word, invert_letters, letter_key, letters_key
 
 __all__ = [
     "DehnValue",
@@ -119,9 +119,8 @@ def dehn(
 ) -> DehnValue:
     """List the trivial words of the ball, maximise their areas.
 
-    The trivial words come from :func:`trivial_letters` when the oracle
-    is a state automaton, else from deciding every word of the ball;
-    either way they are taken in length-lex order.
+    The trivial words come from :func:`trivial_letters` and are taken in
+    length-lex order.
 
     Areas are searched once per symmetry orbit of trivial words.  Word
     inversion and every signed generator permutation that maps the
@@ -140,13 +139,7 @@ def dehn(
     if n < 0:
         raise ValueError("n must be nonnegative")
     found = trivial_letters(oracle, pres.ngens, n)
-    if found is None:
-        # Every word of the ball is decided, the identity included; its area is 0.
-        trivial = [
-            w.letters for w in enumerate_ball(pres.ngens, n) if oracle.is_trivial(w) and w.letters
-        ]
-    else:
-        trivial = sorted((letters for letters in found if letters), key=letters_key)
+    trivial = sorted((letters for letters in found if letters), key=letters_key)
     if not trivial:
         return DehnValue(n, 0, True, ())
     reps, word_orbit = _orbits(pres, trivial)

@@ -362,12 +362,22 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "abelian":
-        orders = tuple(int(part) for part in rest.split(","))
+        try:
+            orders = tuple(int(part) for part in rest.split(","))
+        except ValueError:
+            raise ValueError(
+                f"oracle spec {spec!r}: abelian takes one integer order per generator, got {rest!r}"
+            ) from None
         if len(orders) != pres.ngens:
             raise ValueError("abelian orders vector must have one entry per generator")
         return AbelianOracle(orders)
     if head == "coset":
-        max_cosets = int(rest) if rest else 10000
+        try:
+            max_cosets = int(rest) if rest else 10000
+        except ValueError:
+            raise ValueError(
+                f"oracle spec {spec!r}: coset takes one integer 'max_cosets', got {rest!r}"
+            ) from None
         return CosetTableOracle.build(pres, max_cosets)
     if head == "rewriting":
         if rest != "involutions":

@@ -95,18 +95,19 @@ def _alphabet(ngens: int) -> list[int]:
     return [x for g in range(1, ngens + 1) for x in (g, -g)]
 
 
-def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, ...]] | None:
+def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, ...]]:
     """Letter tuples of the trivial reduced words of length <= radius, in no set order.
 
     A depth-first search over reduced prefixes that drops a prefix once
-    its ``identity_distance`` exceeds the letters left.  None when the
-    oracle has no automaton.
+    its ``identity_distance`` exceeds the letters left.  When the oracle
+    has no automaton, every word of :func:`enumerate_ball` is put to
+    :meth:`Oracle.is_trivial` in length-lex order instead.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     state = oracle.start(ngens)
     if state is None:
-        return None
+        return [w.letters for w in enumerate_ball(ngens, radius) if oracle.is_trivial(w)]
     step, identity_distance = oracle.step, oracle.identity_distance
     alphabet = _alphabet(ngens)
     found = []
@@ -131,11 +132,7 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
 def rel_ball(pres: Presentation, oracle: Oracle, radius: int) -> RelationBall:
     """Every trivial reduced word of length <= radius."""
     found = trivial_letters(oracle, pres.ngens, radius)
-    if found is None:
-        members = frozenset(w for w in enumerate_ball(pres.ngens, radius) if oracle.is_trivial(w))
-    else:
-        members = frozenset(Word._trusted(pres.ngens, letters) for letters in found)
-    return RelationBall(radius, members)
+    return RelationBall(radius, frozenset(Word._trusted(pres.ngens, letters) for letters in found))
 
 
 def distance(

@@ -7,7 +7,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from conftest import run_cli_subprocess
 
@@ -202,9 +201,7 @@ def test_criterion_8_corollary_bound():
 
 def test_criterion_9_worker_determinism():
     with criterion(9, "worker determinism", 240):
-        a3_path = str(Path(__file__).parent / "data" / "a3.pres")
         runs = [
-            ["area", "-p", a3_path, "-w", "a^6", "--format", "json"],
             ["dehn", "--family", "zxz", "--i", "5", "--n", "2,4", "--format", "json"],
             ["dehn", "--family", "dihedral", "--i", "3", "--n", "4", "--format", "json"],
             ["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"],

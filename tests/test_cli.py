@@ -1,7 +1,8 @@
 import csv
-import importlib
+import importlib.util
 import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,8 +11,10 @@ import pytest
 from conftest import run_cli
 
 from markedgroups.cache import ENV_VAR
+from markedgroups.cli import build_parser
 from markedgroups.families import FamilySpec
 
+REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "verify_theorem"
 AREA_GOLDEN = Path(__file__).parent / "data" / "area"
 
@@ -387,9 +390,67 @@ def test_workers_below_one_is_an_input_error(workers, capsys):
      "oracle spec 'product:x=abelian:0;q=abelian:0': unknown generator 'q' (the presentation has x, y)"),
     ("derivation:5",
      "oracle spec 'derivation:5': derivation takes two integers 'length_cap,node_cap', got '5'"),
-], ids=["unknown_generator", "derivation_one_field"])
+    ("abelian:x",
+     "oracle spec 'abelian:x': abelian takes one integer order per generator, got 'x'"),
+    ("coset:abc",
+     "oracle spec 'coset:abc': coset takes one integer 'max_cosets', got 'abc'"),
+], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer"])
 def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
     code, out, err = run_cli(
         ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["dehn", "--family", "zxz", "--i", "3..5", "--n", "2"],
+    ["rel-ball", "--family", "zxz", "--i", "3,4", "--radius", "2"],
+    ["dist", "--family", "zxz", "--i", "x"],
+], ids=["dehn", "rel-ball", "dist"])
+def test_single_index_takes_one_integer(command, capsys):
+    code, out, err = run_cli(command, capsys)
+    i = command[command.index("--i") + 1]
+    assert (code, out, err) == (2, "", f"error: --i {i!r}: {command[0]} takes one integer index\n")
+
+
+# Each subcommand declares only the options it reads; these are the rest.
+MINIMAL_ARGV = {
+    "area": ["-p", "z2.pres", "-w", "[x,y]"],
+    "dehn": ["--family", "zxz", "--i", "3", "--n", "2"],
+    "rel-ball": ["--family", "zxz", "--i", "3", "--radius", "2"],
+    "dist": ["--family", "zxz", "--i", "3"],
+    "converge": ["--family", "zxz", "--i", "3"],
+    "verify-theorem": ["--family", "zxz", "--i", "3", "--n", "2"],
+}
+UNREAD_OPTIONS = [
+    ("area", "--lambda-max"), ("area", "--workers"),
+    ("dehn", "--lambda-max"), ("verify-theorem", "--lambda-max"),
+    ("rel-ball", "--length-cap"), ("rel-ball", "--node-cap"), ("rel-ball", "--workers"),
+    ("rel-ball", "--lambda-max"),
+    ("dist", "--length-cap"), ("dist", "--node-cap"), ("dist", "--workers"),
+    ("converge", "--length-cap"), ("converge", "--node-cap"), ("converge", "--workers"),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[f"{c}{o}" for c, o in UNREAD_OPTIONS])
+def test_option_a_subcommand_does_not_read_is_a_parse_error(command, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli([command, *MINIMAL_ARGV[command], option, "1"], capsys)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} 1" in captured.err
+
+
+def test_benchmark_jobs_parse(monkeypatch):
+    # bench/workloads.py is stdlib-only and not a package module; load it from its file
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    sigma = workloads.SignedPerm.draw(1)
+    argvs = [job.argv for name in workloads.WORKLOADS for job in workloads.jobs(name, sigma, Path("work"))]
+    assert {argv[0] for argv in argvs} == {"area", "dehn", "rel-ball", "dist", "converge", "verify-theorem"}
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
