@@ -8,7 +8,8 @@ converge).
 
 Exit codes: 0 success; 2 input or parse error; 3 area not found within
 caps; 4 unknown oracle verdict or inconclusive values; 5 a checked
-inequality failed (which would mean an implementation bug).
+inequality failed (which would mean an implementation bug); 6 a worker
+process of --workers died.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import csv
 import io
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache, default_cache_dir
-from .dehn import DehnComputationError, dehn, verify_family
+from .dehn import DehnComputationError, dehn, verify_family, worker_pool
 from .families import get_family
 from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
 from .presentations import (
@@ -39,6 +41,7 @@ EXIT_INPUT = 2
 EXIT_NOT_FOUND = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_VERDICT_FAILED = 5
+EXIT_WORKER_DIED = 6
 
 
 def _worker_count(text: str) -> int:
@@ -123,18 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_indices(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        indices = list(range(int(lo), int(hi) + 1))
-    else:
-        indices = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            indices = list(range(int(lo), int(hi) + 1))
+        else:
+            indices = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--i {text!r}: expected an integer or a range A..B") from None
     if not indices:
         raise ValueError(f"--i {text!r} selects no index; give a range lo..hi with lo <= hi or a list")
     return indices
 
 
 def _parse_radii(text: str) -> list[int]:
-    radii = [int(part) for part in text.split(",") if part.strip()]
+    try:
+        radii = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--n {text!r}: expected comma-separated integers") from None
     if not radii:
         raise ValueError(f"--n {text!r} gives no radius; give a comma-separated list such as 2,4")
     return radii
@@ -162,7 +171,7 @@ def _resolve_group(args) -> tuple[Presentation, object, str]:
     if args.family:
         family, i = _family_member(args)
         pres, oracle = family.member(i)
-        return pres, oracle, f"{family.name}[{args.i}]"
+        return pres, oracle, f"{family.name}[{i}]"
     if not args.presentation:
         raise ValueError("give either -p FILE or --family NAME --i K")
     pres = _load_presentation_file(args.presentation)
@@ -256,24 +265,25 @@ def cmd_dehn(args) -> int:
     caps = Caps(length_cap, args.node_cap)
     cache = ResultCache(args.cache_dir or default_cache_dir())
     rows_json = []
-    for n in radii:
-        key = ResultCache.make_key(
-            op="dehn",
-            presentation=pres.to_text(),
-            oracle=oracle.spec,
-            n=n,
-            length_cap=caps.length_cap,
-            node_cap=caps.node_cap,
-            version=__version__,
-        )
-        hit = cache.get(key)
-        if _is_dehn_row(hit, n):
-            rows_json.append(hit)
-            continue
-        value = dehn(pres, oracle, n, caps, workers=args.workers)
-        row = value.to_json(pres)
-        cache.put(key, row)
-        rows_json.append(row)
+    with worker_pool(args.workers) as pool:
+        for n in radii:
+            key = ResultCache.make_key(
+                op="dehn",
+                presentation=pres.to_text(),
+                oracle=oracle.spec,
+                n=n,
+                length_cap=caps.length_cap,
+                node_cap=caps.node_cap,
+                version=__version__,
+            )
+            hit = cache.get(key)
+            if _is_dehn_row(hit, n):
+                rows_json.append(hit)
+                continue
+            value = dehn(pres, oracle, n, caps, workers=args.workers, pool=pool)
+            row = value.to_json(pres)
+            cache.put(key, row)
+            rows_json.append(row)
     payload = {
         "presentation": label,
         "oracle": oracle.spec,
@@ -302,7 +312,7 @@ def cmd_dist(args) -> int:
         family, i = _family_member(args)
         pres1, oracle1 = family.member(i)
         pres2, oracle2 = family.limit()
-        label1, label2 = f"{family.name}[{args.i}]", f"{family.name}[limit]"
+        label1, label2 = f"{family.name}[{i}]", f"{family.name}[limit]"
     else:
         if not (args.p1 and args.p2 and args.oracle1 and args.oracle2):
             raise ValueError("give --p1/--oracle1/--p2/--oracle2, or --family/--i")
@@ -428,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownVerdictError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except BrokenProcessPool as exc:
+        print(f"error: a --workers process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ reports of each radius, with no search of its own.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ __all__ = [
     "TheoremReport",
     "CorollaryReport",
     "dehn",
+    "worker_pool",
     "quotient_check",
     "compute_K",
     "verify_family",
@@ -109,6 +111,17 @@ def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tupl
     return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
 
 
+def worker_pool(workers: int):
+    """A context giving a process pool of ``workers`` processes, or None for one worker.
+
+    The pool is built through the name ``ProcessPoolExecutor`` of this
+    module.  Under the fork start method the executor starts its
+    processes at the first ``map``, so a pool that is never used starts
+    no process.
+    """
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
 def dehn(
     pres: Presentation,
     oracle: Oracle,
@@ -116,6 +129,8 @@ def dehn(
     caps: Caps,
     workers: int = 1,
     max_witnesses: int = 8,
+    *,
+    pool: ProcessPoolExecutor | None = None,
 ) -> DehnValue:
     """List the trivial words of the ball, maximise their areas.
 
@@ -133,8 +148,12 @@ def dehn(
     breadth-first level.
 
     The representative searches are independent, so they can fan out
-    across processes; results are reduced in enumeration order, which
-    keeps the outcome identical for any worker count.
+    across processes in one ``pool.map`` whose chunk size follows
+    ``workers``; results are reduced in enumeration order, which keeps
+    the outcome identical for any worker count.  A caller that computes
+    several tables passes its own ``pool`` (see :func:`worker_pool`);
+    without one, a call with ``workers`` > 1 opens a pool for its
+    searches and closes it before returning.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -143,14 +162,14 @@ def dehn(
     if not trivial:
         return DehnValue(n, 0, True, ())
     reps, word_orbit = _orbits(pres, trivial)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
+        if pool is None:
+            rep_values = [_area_value(pres, caps, letters) for letters in reps]
+        else:
             rep_values = list(
                 pool.map(_area_value, [pres] * len(reps), [caps] * len(reps), reps,
                          chunksize=max(1, len(reps) // (4 * workers)))
             )
-    else:
-        rep_values = [_area_value(pres, caps, letters) for letters in reps]
     values = [rep_values[orbit] for orbit in word_orbit]
     for letters, value in zip(trivial, values):
         if value < 0:
@@ -319,13 +338,23 @@ def verify_family(
     """Theorem reports for every (n, i), n outer, and one corollary per radius.
 
     Each quantity is computed once per call: the limit, each member with
-    its quotient check, K_i and delta_i(L) once per member, delta(n) once
-    per radius, and delta_i(n) and the ball agreement once per (i, n);
-    at n = L, delta_i(n) and delta_i(L) are one value.  A quantity is
-    computed at the first report that needs it, in the order agreement,
-    delta_i(n), delta(n), delta_i(L), K_i, so the first failure does not
-    depend on which values are reused.  Each corollary is read off the
-    reports of its radius.
+    its quotient check, the ball agreement, K_i and delta_i(L) once per
+    member, delta(n) once per radius, and delta_i(n) once per (i, n); at
+    n = L, delta_i(n) and delta_i(L) are one value.  The ball agreement
+    is scanned once, up to the largest radius, and the report at radius
+    n reads min(agreement, n): the scan stops at the first disagreement,
+    so that is what a scan up to n would give.  A quantity is computed at
+    the first report that needs it, in the order agreement, delta_i(n),
+    delta(n), delta_i(L), K_i, so the first failure does not depend on
+    which values are reused.  With an oracle that can answer unknown
+    (``derivation``), the agreement scan of a member's first report
+    reaches the largest radius, so its unknown verdict comes before any
+    failure of that member's Dehn tables.  Each corollary is read off
+    the reports of its radius.
+
+    With ``workers`` > 1 one process pool serves every Dehn table of the
+    call (see :func:`worker_pool`), and it is closed, its processes
+    joined, before the call returns or raises.
     """
     i_values, radii = tuple(i_values), tuple(radii)
     if not i_values or not radii:
@@ -354,16 +383,17 @@ def verify_family(
         return member_pres, member_oracle
 
     reports = []
-    for n in radii:
-        for i in i_values:
-            member_pres, member_oracle = once(("member", i), lambda: member(i))
-            agreement = once(("agreement", i, n), lambda: distance(
-                member_pres, member_oracle, limit_pres, limit_oracle, n).agreement_radius())
-            d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, workers=workers))
-            d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, workers=workers))
-            d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, workers=workers))
-            K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
-            reports.append(_theorem_report(i, n, L, agreement, d_i_n, d_n, d_i_L, K))
+    with worker_pool(workers) as pool:
+        for n in radii:
+            for i in i_values:
+                member_pres, member_oracle = once(("member", i), lambda: member(i))
+                agreement = once(("agreement", i), lambda: distance(
+                    member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).agreement_radius())
+                d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, workers, pool=pool))
+                d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, workers, pool=pool))
+                d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, workers, pool=pool))
+                K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
+                reports.append(_theorem_report(i, n, L, min(agreement, n), d_i_n, d_n, d_i_L, K))
     width = len(i_values)
     corollaries = [
         CorollaryReport.from_reports(family.name, reports[k * width : (k + 1) * width])

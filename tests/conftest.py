@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import pytest
@@ -23,6 +24,21 @@ def d3():
 @pytest.fixture
 def dinf():
     return parse_presentation("gens: a b\nrels: a^2; b^2")
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Every pool the package builds, counted through markedgroups.dehn.ProcessPoolExecutor."""
+    dehn_module = importlib.import_module("markedgroups.dehn")
+    opened = []
+
+    class CountingPool(dehn_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dehn_module, "ProcessPoolExecutor", CountingPool)
+    return opened
 
 
 def run_cli(argv, capsys):

@@ -2,6 +2,8 @@ import csv
 import importlib.util
 import io
 import json
+import multiprocessing
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -320,10 +322,10 @@ def test_verify_theorem_matches_golden_input_error(capsys):
 @pytest.mark.parametrize("args, expected", [
     # zxz has L = 4, one of the radii: delta_i(L) is the entry delta_i(4)
     (["--family", "zxz", "--i", "3..6", "--n", "2,4"],
-     {"dehn": 10, "compute_K": 4, "quotient_check": 4, "distance": 8, "member": 4}),
+     {"dehn": 10, "compute_K": 4, "quotient_check": 4, "distance": 4, "member": 4}),
     # dihedral has L = 2: delta(4), delta(6), delta_6(4), delta_6(6), delta_6(2)
     (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"],
-     {"dehn": 5, "compute_K": 1, "quotient_check": 1, "distance": 2, "member": 1}),
+     {"dehn": 5, "compute_K": 1, "quotient_check": 1, "distance": 1, "member": 1}),
 ])
 def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monkeypatch):
     # the package attribute markedgroups.dehn is the function, so fetch the module
@@ -454,3 +456,130 @@ def test_benchmark_jobs_parse(monkeypatch):
     assert {argv[0] for argv in argvs} == {"area", "dehn", "rel-ball", "dist", "converge", "verify-theorem"}
     for argv in argvs:
         assert parser.parse_args(argv).command == argv[0]
+
+
+# One worker pool per command
+
+def _exit_worker(pres, caps, letters):
+    """Stands in for the area search of a pool worker and kills the process."""
+    os._exit(9)
+
+
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every child process started, counted at Process.start."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
+POOL_COMMANDS = {
+    "verify-theorem": ["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4"],
+    "dehn": ["dehn", "--family", "zxz", "--i", "3", "--n", "4,6,8"],
+}
+
+
+@pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
+@pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
+def test_one_pool_per_command(command, workers, pools, opened_pools, tmp_path, capsys):
+    code, _, err = run_cli(
+        [*POOL_COMMANDS[command], "--workers", workers, "--cache-dir", str(tmp_path)], capsys
+    )
+    assert (code, err) == (0, "")
+    assert len(opened_pools) == pools
+
+
+def test_cache_hit_dehn_starts_no_process(opened_pools, started_processes, tmp_path, capsys):
+    argv = [*POOL_COMMANDS["dehn"], "--format", "json", "--cache-dir", str(tmp_path)]
+    cold = run_cli(argv, capsys)
+    assert started_processes == []
+    warm = run_cli([*argv, "--workers", "2"], capsys)
+    assert warm == cold
+    assert len(opened_pools) == 1 and started_processes == []
+
+
+@pytest.mark.parametrize("argv, fixture", [
+    (["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6"], "dihedral_6_n4-6_w2.txt"),
+    (["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"],
+     "zxz_3-6_n2-4.json"),
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "4,6,8", "--format", "json"],
+     "dehn_zxz_3_n4-6-8.json"),
+], ids=["verify-theorem-dihedral", "verify-theorem-zxz", "dehn-zxz"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, capsys):
+    code, out, err = run_cli([*argv, "--workers", workers], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
+
+
+def test_failed_search_leaves_no_worker_running(capsys):
+    code, out, err = run_cli(
+        ["verify-theorem", "--family", "zxz", "--i", "3..4", "--n", "4", "--node-cap", "3",
+         "--workers", "2"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("not found: area search exhausted caps")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
+def test_dead_worker_is_exit_6(command, monkeypatch, capsys):
+    # under fork the workers inherit the patched search
+    monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "_area_value", _exit_worker)
+    code, out, err = run_cli([*POOL_COMMANDS[command], "--workers", "2"], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("error: a --workers process died: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--family", "zxz", "--i", "a..5"], "--i 'a..5': expected an integer or a range A..B"),
+    (["verify-theorem", "--family", "zxz", "--i", "3,x", "--n", "2"],
+     "--i '3,x': expected an integer or a range A..B"),
+    (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2,x"],
+     "--n '2,x': expected comma-separated integers"),
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "4.5"], "--n '4.5': expected comma-separated integers"),
+], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n"])
+def test_index_and_radius_parse_errors_name_the_option(argv, message, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["rel-ball", "--family", "zxz", "--i", "03", "--radius", "3"], "presentation"),
+    (["dehn", "--family", "zxz", "--i", "+3", "--n", "2"], "presentation"),
+    (["dist", "--family", "zxz", "--i", " 3"], "p1"),
+], ids=["rel-ball", "dehn", "dist"])
+def test_reports_label_the_parsed_index(argv, field, capsys):
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)[field] == "zxz[3]"
+
+
+def test_unknown_verdict_of_the_agreement_scan_comes_first(tmp_path, capsys):
+    # The member is trivial, but its derivation oracle answers unknown past
+    # length 3.  The agreement scan runs to the largest radius, 4, at the
+    # member's first report, before the delta_i(2) search exhausts its caps.
+    (tmp_path / "limit.pres").write_text("gens: a\nrels: a\n", encoding="utf-8")
+    (tmp_path / "semi.json").write_text(json.dumps({
+        "name": "semi",
+        "valid_i": 1,
+        "limit": {"presentation": "limit.pres", "oracle": "coset:10"},
+        "member_template": {"presentation": "gens: a\nrels: a^$i", "oracle": "derivation:3,1000"},
+    }), encoding="utf-8")
+    argv = ["verify-theorem", "--family", str(tmp_path / "semi.json"), "--i", "1", "--node-cap", "1"]
+    code, out, err = run_cli([*argv, "--n", "2,4"], capsys)
+    assert (code, out) == (4, "")
+    assert err == (
+        "inconclusive: oracle 'derivation:3,1000' returned unknown for a word of length 4; "
+        "raise the caps or use an exact oracle\n"
+    )
+    # with the largest radius 2 the scan decides every word and the search fails
+    code, out, err = run_cli([*argv, "--n", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("not found: area search exhausted caps")

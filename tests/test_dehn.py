@@ -1,15 +1,19 @@
 import json
+import multiprocessing
 
 import pytest
 
 from markedgroups.area import Caps, area_exact_small
 from markedgroups.dehn import (
     DehnComputationError,
+    DehnValue,
     compute_K,
     corollary_check,
     dehn,
     quotient_check,
     theorem_check,
+    verify_family,
+    worker_pool,
 )
 from markedgroups.families import builtin_families
 from markedgroups.oracles import UnknownVerdictError, build_oracle
@@ -232,3 +236,39 @@ def test_corollary_single_member_matches_theorem():
     assert row["delta_i_n"]["value"] == theorem.delta_i_n[0]
     assert corollary.M == theorem.delta_i_L[0]
     assert theorem.K_i[0] <= corollary.M
+
+
+# worker pools
+
+def test_dehn_alone_opens_its_own_pool_only_for_searches(z2, opened_pools):
+    oracle = build_oracle("abelian:0,0", z2)
+    assert dehn(z2, oracle, 3, CAPS, workers=2) == DehnValue(3, 0, True, ())
+    assert opened_pools == []
+    assert dehn(z2, oracle, 4, CAPS, workers=2) == dehn(z2, oracle, 4, CAPS)
+    assert len(opened_pools) == 1
+
+
+def test_dehn_uses_the_callers_pool(z2, opened_pools):
+    oracle = build_oracle("abelian:0,0", z2)
+    with worker_pool(2) as pool:
+        tables = [dehn(z2, oracle, n, CAPS, workers=2, pool=pool) for n in (4, 6)]
+        assert multiprocessing.active_children() != []
+    assert tables == [dehn(z2, oracle, n, CAPS) for n in (4, 6)]
+    assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (3, 1)])
+def test_verify_family_opens_at_most_one_pool(workers, pools, opened_pools):
+    serial = verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS)
+    assert opened_pools == []
+    assert verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS, workers=workers) == serial
+    assert len(opened_pools) == pools
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_family_reads_each_agreement_off_one_scan():
+    # zxz member 4 agrees with the limit through radius 3
+    reports, _ = verify_family(fam("zxz"), (4,), (2, 4, 6), CAPS)
+    assert [r.ball_agreement for r in reports] == [2, 3, 3]
+    assert [r.applicable for r in reports] == [True, False, False]
