@@ -20,13 +20,13 @@ for n in (2, 4):
         verdicts = (r.inequality_star_ok, r.k_le_delta_L_ok, r.ratio_le_delta_ok)
         holds = "yes" if all(v is True for v in verdicts) else "informational"
         marker = holds if r.applicable else "(balls differ before n)"
-        print(f"{i}  {n}  {r.ball_agreement}      {r.delta_i_n[0]}       {r.delta_n[0]}"
-              f"     {r.K_i[0]}    {r.delta_i_L[0]}       {r.ratio}    {marker}")
+        print(f"{i}  {n}  {r.ball_agreement}      {r.delta_i_n}       {r.delta_n}"
+              f"     {r.K_i}    {r.delta_i_L}       {r.ratio}    {marker}")
 print()
 
 corollary = corollary_check(family, (3, 4, 5, 6), 4, caps)
 print(f"uniform bound at n=4: M = max_i delta_i(L) = {corollary.M}, "
-      f"delta(4) = {corollary.delta_n[0]}")
+      f"delta(4) = {corollary.delta_n}")
 for row in corollary.rows:
     note = "checked" if row["included"] else "excluded (balls differ before 4)"
     print(f"  i={row['i']}: delta_i(4) = {row['delta_i_n']['value']}  [{note}]")

@@ -109,20 +109,20 @@ class Certificate:
 class AreaResult:
     """A found area value together with its witness.
 
-    ``exact`` asserts the value is minimal among all derivations whose
-    intermediate words stay within the length cap; every successful
-    search satisfies this, and larger caps can only lower the value.
+    The value is minimal among all derivations whose intermediate words
+    stay within the length cap, and larger caps can only lower it: a
+    search that cannot show minimality within its caps raises
+    :class:`AreaNotFound` instead, so the report always says exact.
     """
 
     value: int
-    exact: bool
     certificate: Certificate
     stats: SearchStats
 
     def to_json(self, pres: Presentation) -> dict:
         return {
             "value": self.value,
-            "exact": self.exact,
+            "exact": True,
             "certificate": self.certificate.to_json(pres),
             "stats": self.stats.to_json(),
         }
@@ -158,7 +158,7 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     caps = Caps(length_cap, node_cap)
     target = w.letters
     if not target:
-        return AreaResult(0, True, Certificate(()), SearchStats(0, length_cap))
+        return AreaResult(0, Certificate(()), SearchStats(0, length_cap))
 
     sym = symmetrize(pres)
     moves = [(mv.letters, *sym.origin[mv]) for mv in sym.moves]
@@ -238,7 +238,7 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     cert = Certificate(tuple(factors))
     if not verify_certificate(pres, w, cert):
         raise RuntimeError("internal error: reconstructed certificate failed verification")
-    return AreaResult(len(factors), True, cert, stats)
+    return AreaResult(len(factors), cert, stats)
 
 
 def _window_row(

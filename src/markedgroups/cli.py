@@ -7,9 +7,8 @@ verify-theorem), --workers (dehn, verify-theorem), --lambda-max (dist,
 converge).
 
 Exit codes: 0 success; 2 input or parse error; 3 area not found within
-caps; 4 unknown oracle verdict or inconclusive values; 5 a checked
-inequality failed (which would mean an implementation bug); 6 a worker
-process of --workers died.
+caps; 4 unknown oracle verdict; 5 a checked inequality failed (which
+would mean an implementation bug); 6 a worker process of --workers died.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .space import convergence_report, distance, rel_ball
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_FOUND = 3
-EXIT_INCONCLUSIVE = 4
+EXIT_UNKNOWN_VERDICT = 4
 EXIT_VERDICT_FAILED = 5
 EXIT_WORKER_DIED = 6
 
@@ -239,7 +238,7 @@ def cmd_area(args) -> int:
         args,
         payload,
         ["value", "exact", "states_explored", "certificate"],
-        [[result.value, result.exact, result.stats.states_explored, cert_text or "-"]],
+        [[result.value, True, result.stats.states_explored, cert_text or "-"]],
     )
     return EXIT_OK
 
@@ -252,7 +251,7 @@ def _is_dehn_row(hit, n: int) -> bool:
         and type(hit["n"]) is int
         and hit["n"] == n
         and type(hit["value"]) is int
-        and isinstance(hit["exact"], bool)
+        and hit["exact"] is True
         and isinstance(hit["witnesses"], list)
         and all(isinstance(w, str) for w in hit["witnesses"])
     )
@@ -350,18 +349,8 @@ def cmd_verify_theorem(args) -> int:
     length_cap = _default_length_cap(args, floor, family.limit_pres)
     caps = Caps(length_cap, args.node_cap)
     reports, corollaries = verify_family(family, indices, radii, caps, workers=args.workers)
-
-    inconclusive = any(
-        r.applicable and (r.inequality_star_ok is None or r.k_le_delta_L_ok is None)
-        for r in reports
-    )
     failed = any(not r.all_pass for r in reports) or any(not c.all_pass for c in corollaries)
-    if failed:
-        status = "failed"
-    elif inconclusive:
-        status = "inconclusive"
-    else:
-        status = "verified"
+    status = "failed" if failed else "verified"
     payload = {
         "family": family.name,
         "L": L,
@@ -383,10 +372,10 @@ def cmd_verify_theorem(args) -> int:
             r.i,
             r.n,
             r.ball_agreement,
-            r.delta_i_n[0],
-            r.delta_n[0],
-            r.K_i[0],
-            r.delta_i_L[0],
+            r.delta_i_n,
+            r.delta_n,
+            r.K_i,
+            r.delta_i_L,
             "-" if r.ratio is None else f"{r.ratio.numerator}/{r.ratio.denominator}",
             mark(r.inequality_star_ok),
             mark(r.k_le_delta_L_ok),
@@ -407,11 +396,7 @@ def cmd_verify_theorem(args) -> int:
         rows,
         footer=footer,
     )
-    if failed:
-        return EXIT_VERDICT_FAILED
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_VERDICT_FAILED if failed else EXIT_OK
 
 
 _COMMANDS = {
@@ -437,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NOT_FOUND
     except UnknownVerdictError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        return EXIT_UNKNOWN_VERDICT
     except BrokenProcessPool as exc:
         print(f"error: a --workers process died: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED

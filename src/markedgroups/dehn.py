@@ -17,7 +17,8 @@ member, the finite inequalities behind the limit statement
 (c) delta_i(n) / delta_i(L) <= delta(n).
 
 The limsup itself is not finitely observable, so the reports state only
-what was computed, for the tested members, with exactness flags.
+what was computed, for the tested members.  Each value is exact within
+the caps, since a search that cannot show its minimum raises instead.
 
 :func:`verify_family` computes each quantity once per call and reads the
 uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
@@ -63,20 +64,24 @@ class DehnComputationError(RuntimeError):
         self.word = word
 
 
+def _exact(value: int) -> dict:
+    """The JSON object of a reported value: a search that cannot show a
+    value exact within its caps raises instead, so every value says exact."""
+    return {"value": value, "exact": True}
+
+
 @dataclass(frozen=True)
 class DehnValue:
     """One table entry: the maximum area over trivial words of length <= n."""
 
     n: int
     value: int
-    exact: bool
     witnesses: tuple[Word, ...]
 
     def to_json(self, pres: Presentation) -> dict:
         return {
             "n": self.n,
-            "value": self.value,
-            "exact": self.exact,
+            **_exact(self.value),
             "witnesses": [pres.word_str(w) for w in self.witnesses],
         }
 
@@ -160,7 +165,7 @@ def dehn(
     found = trivial_letters(oracle, pres.ngens, n)
     trivial = sorted((letters for letters in found if letters), key=letters_key)
     if not trivial:
-        return DehnValue(n, 0, True, ())
+        return DehnValue(n, 0, ())
     reps, word_orbit = _orbits(pres, trivial)
     with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
         if pool is None:
@@ -178,7 +183,7 @@ def dehn(
     witnesses = tuple(
         Word(pres.ngens, letters) for letters, value in zip(trivial, values) if value == vmax
     )[:max_witnesses]
-    return DehnValue(n, vmax, True, witnesses)
+    return DehnValue(n, vmax, witnesses)
 
 
 def quotient_check(limit_pres: Presentation, member_oracle: Oracle) -> bool:
@@ -186,7 +191,7 @@ def quotient_check(limit_pres: Presentation, member_oracle: Oracle) -> bool:
     return all(member_oracle.is_trivial(r) for r in limit_pres.relators)
 
 
-def compute_K(limit_pres: Presentation, member_pres: Presentation, caps: Caps) -> tuple[int, bool]:
+def compute_K(limit_pres: Presentation, member_pres: Presentation, caps: Caps) -> int:
     """Max area of the limit's relators in the member presentation.
 
     Callers must have passed quotient_check first; a relator that is not
@@ -194,22 +199,17 @@ def compute_K(limit_pres: Presentation, member_pres: Presentation, caps: Caps) -
     """
     if not limit_pres.relators:
         raise ValueError("the limit presentation has no relators")
-    best = 0
-    exact = True
-    for r in limit_pres.relators:
-        result = area_search(member_pres, r, caps.length_cap, caps.node_cap)
-        best = max(best, result.value)
-        exact = exact and result.exact
-    return best, exact
+    return max(area_search(member_pres, r, caps.length_cap, caps.node_cap).value for r in limit_pres.relators)
 
 
 @dataclass(frozen=True)
 class TheoremReport:
     """All quantities of the member-vs-limit inequality for one (i, n).
 
-    Verdicts are booleans when every contributing value is exact and
-    None when a quantity is unavailable (for example the ratio when
-    delta_i(L) = 0).  Verdict (a) is asserted only while the relation
+    The fields are the integers the harness computed, each exact within
+    the caps of the call; the ratio and the verdicts (a), (b) and (c)
+    are read off them.  Only the ratio and verdict (c) can be None, when
+    delta_i(L) = 0.  Verdict (a) is asserted only while the relation
     balls agree up to n; reports with ball_agreement < n are
     informational, since nothing constrains early members.
     """
@@ -217,15 +217,32 @@ class TheoremReport:
     i: int
     n: int
     ball_agreement: int
-    delta_i_n: tuple[int, bool]
-    delta_n: tuple[int, bool]
-    K_i: tuple[int, bool]
-    delta_i_L: tuple[int, bool]
+    delta_i_n: int
+    delta_n: int
+    K_i: int
+    delta_i_L: int
     L: int
-    ratio: Fraction | None
-    inequality_star_ok: bool | None
-    k_le_delta_L_ok: bool | None
-    ratio_le_delta_ok: bool | None
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """delta_i(n) / delta_i(L), or None when delta_i(L) = 0."""
+        return Fraction(self.delta_i_n, self.delta_i_L) if self.delta_i_L > 0 else None
+
+    @property
+    def inequality_star_ok(self) -> bool:
+        """(a) delta_i(n) <= K_i * delta(n)."""
+        return self.delta_i_n <= self.K_i * self.delta_n
+
+    @property
+    def k_le_delta_L_ok(self) -> bool:
+        """(b) K_i <= delta_i(L)."""
+        return self.K_i <= self.delta_i_L
+
+    @property
+    def ratio_le_delta_ok(self) -> bool | None:
+        """(c) delta_i(n) / delta_i(L) <= delta(n), or None without a ratio."""
+        ratio = self.ratio
+        return None if ratio is None else ratio <= self.delta_n
 
     @property
     def applicable(self) -> bool:
@@ -234,53 +251,26 @@ class TheoremReport:
     @property
     def all_pass(self) -> bool:
         """Release gate: (b) always; (a) and (c) when applicable."""
-        if self.k_le_delta_L_ok is False:
+        if not self.k_le_delta_L_ok:
             return False
-        if self.applicable and (self.inequality_star_ok is False or self.ratio_le_delta_ok is False):
-            return False
-        return True
+        return not (self.applicable and (not self.inequality_star_ok or self.ratio_le_delta_ok is False))
 
     def to_json(self) -> dict:
-        def val(pair):
-            return {"value": pair[0], "exact": pair[1]}
-
+        ratio = self.ratio
         return {
             "i": self.i,
             "n": self.n,
             "ball_agreement": self.ball_agreement,
-            "delta_i_n": val(self.delta_i_n),
-            "delta_n": val(self.delta_n),
-            "K_i": val(self.K_i),
-            "delta_i_L": val(self.delta_i_L),
+            "delta_i_n": _exact(self.delta_i_n),
+            "delta_n": _exact(self.delta_n),
+            "K_i": _exact(self.K_i),
+            "delta_i_L": _exact(self.delta_i_L),
             "L": self.L,
-            "ratio": None if self.ratio is None else f"{self.ratio.numerator}/{self.ratio.denominator}",
+            "ratio": None if ratio is None else f"{ratio.numerator}/{ratio.denominator}",
             "inequality_star_ok": self.inequality_star_ok,
             "k_le_delta_L_ok": self.k_le_delta_L_ok,
             "ratio_le_delta_ok": self.ratio_le_delta_ok,
         }
-
-
-def _theorem_report(i, n, L, agreement, d_i_n, d_n, d_i_L, K) -> TheoremReport:
-    k_value, k_exact = K
-    all_exact = d_i_n.exact and d_n.exact and d_i_L.exact and k_exact
-    ratio = Fraction(d_i_n.value, d_i_L.value) if d_i_L.value > 0 else None
-    star = d_i_n.value <= k_value * d_n.value if all_exact else None
-    k_le = k_value <= d_i_L.value if all_exact else None
-    ratio_le = (ratio <= d_n.value) if (all_exact and ratio is not None) else None
-    return TheoremReport(
-        i=i,
-        n=n,
-        ball_agreement=agreement,
-        delta_i_n=(d_i_n.value, d_i_n.exact),
-        delta_n=(d_n.value, d_n.exact),
-        K_i=(k_value, k_exact),
-        delta_i_L=(d_i_L.value, d_i_L.exact),
-        L=L,
-        ratio=ratio,
-        inequality_star_ok=star,
-        k_le_delta_L_ok=k_le,
-        ratio_le_delta_ok=ratio_le,
-    )
 
 
 @dataclass(frozen=True)
@@ -291,7 +281,7 @@ class CorollaryReport:
     n: int
     L: int
     M: int
-    delta_n: tuple[int, bool]
+    delta_n: int
     rows: tuple[dict, ...]
 
     @property
@@ -304,7 +294,7 @@ class CorollaryReport:
             "n": self.n,
             "L": self.L,
             "M": self.M,
-            "delta_n": {"value": self.delta_n[0], "exact": self.delta_n[1]},
+            "delta_n": _exact(self.delta_n),
             "rows": list(self.rows),
             "all_pass": self.all_pass,
         }
@@ -317,15 +307,15 @@ class CorollaryReport:
         excluded from the bound (nothing constrains them) and marked so.
         """
         first = reports[0]
-        M = max(r.delta_i_L[0] for r in reports)
+        M = max(r.delta_i_L for r in reports)
         rows = tuple(
             {
                 "i": r.i,
                 "ball_agreement": r.ball_agreement,
-                "delta_i_L": {"value": r.delta_i_L[0], "exact": r.delta_i_L[1]},
-                "delta_i_n": {"value": r.delta_i_n[0], "exact": r.delta_i_n[1]},
+                "delta_i_L": _exact(r.delta_i_L),
+                "delta_i_n": _exact(r.delta_i_n),
                 "included": r.applicable,
-                "bound_ok": (r.delta_i_n[0] <= M * first.delta_n[0]) if r.applicable else None,
+                "bound_ok": (r.delta_i_n <= M * first.delta_n) if r.applicable else None,
             }
             for r in reports
         )
@@ -388,12 +378,12 @@ def verify_family(
             for i in i_values:
                 member_pres, member_oracle = once(("member", i), lambda: member(i))
                 agreement = once(("agreement", i), lambda: distance(
-                    member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).agreement_radius())
+                    member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).lam)
                 d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, workers, pool=pool))
                 d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, workers, pool=pool))
                 d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, workers, pool=pool))
                 K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
-                reports.append(_theorem_report(i, n, L, min(agreement, n), d_i_n, d_n, d_i_L, K))
+                reports.append(TheoremReport(i, n, min(agreement, n), d_i_n.value, d_n.value, K, d_i_L.value, L))
     width = len(i_values)
     corollaries = [
         CorollaryReport.from_reports(family.name, reports[k * width : (k + 1) * width])

@@ -106,7 +106,6 @@ class Oracle:
 
     spec: str
     soundness: str
-    exact: bool
 
     def decide(self, w: Word) -> Verdict:
         raise NotImplementedError
@@ -150,7 +149,6 @@ class AbelianOracle(Oracle):
             "abelian groups presented by all pairwise commutators plus "
             f"generator power relators with orders {orders}"
         )
-        self.exact = True
 
     def decide(self, w: Word) -> Verdict:
         if w.ngens != len(self.orders):
@@ -189,7 +187,6 @@ class CosetTableOracle(Oracle):
         self.distances = table.distances()
         self.spec = spec or "coset"
         self.soundness = f"the finite group with {table.cosets} elements given by its presentation"
-        self.exact = True
 
     @classmethod
     def build(cls, pres: Presentation, max_cosets: int = 10000) -> "CosetTableOracle":
@@ -225,7 +222,6 @@ class RewritingOracle(Oracle):
     def __init__(self) -> None:
         self.spec = "rewriting:involutions"
         self.soundness = "free products of order-2 groups (every relator a generator square)"
-        self.exact = True
 
     def normal_form(self, letters: tuple[int, ...]) -> tuple[int, ...]:
         out: list[int] = []
@@ -257,7 +253,6 @@ class FreeOracle(Oracle):
     def __init__(self) -> None:
         self.spec = "free"
         self.soundness = "free groups (presentations with an empty relator list)"
-        self.exact = True
 
     def decide(self, w: Word) -> Verdict:
         return TRIVIAL if not w.letters else NONTRIVIAL
@@ -284,7 +279,6 @@ class BoundedDerivationOracle(Oracle):
         self.caps = caps
         self.spec = f"derivation:{caps.length_cap},{caps.node_cap}"
         self.soundness = "any presentation; trivial verdicts carry a verified certificate"
-        self.exact = False
 
     def decide(self, w: Word) -> Verdict:
         if not w.letters:
@@ -328,7 +322,6 @@ class ProductOracle(Oracle):
             f"{','.join(str(g) for g in part)}={oracle.spec}" for oracle, part in components
         )
         self.soundness = "direct products split along the declared generator partition"
-        self.exact = all(oracle.exact for oracle, _ in components)
 
     def decide(self, w: Word) -> Verdict:
         if w.ngens != self.ngens:

@@ -80,9 +80,6 @@ class MarkedDistance:
     def display(self) -> float:
         return math.exp(-self.lam)
 
-    def agreement_radius(self) -> int:
-        return self.lam
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "lambda": self.lam, "display": self.display}
 
@@ -195,7 +192,7 @@ class ConvergenceReport:
 
     @property
     def lambda_non_decreasing(self) -> bool:
-        values = [d.agreement_radius() for _, d in self.rows]
+        values = [d.lam for _, d in self.rows]
         return all(a <= b for a, b in zip(values, values[1:]))
 
     def to_json(self) -> dict:

@@ -44,7 +44,7 @@ def reference_area_search(pres, w, length_cap, node_cap):
     caps = Caps(length_cap, node_cap)
     target = w.letters
     if not target:
-        return AreaResult(0, True, Certificate(()), SearchStats(0, length_cap))
+        return AreaResult(0, Certificate(()), SearchStats(0, length_cap))
 
     sym = symmetrize(pres)
     moves = [(mv.letters, *sym.origin[mv]) for mv in sym.moves]
@@ -102,7 +102,7 @@ def reference_area_search(pres, w, length_cap, node_cap):
         factors.append((Word(pres.ngens, conj), rel_idx, -sign))
     cert = Certificate(tuple(factors))
     assert verify_certificate(pres, w, cert)
-    return AreaResult(len(factors), True, cert, stats)
+    return AreaResult(len(factors), cert, stats)
 
 
 GROUPS = {

@@ -14,6 +14,7 @@ from conftest import run_cli
 
 from markedgroups.cache import ENV_VAR
 from markedgroups.cli import build_parser
+from markedgroups.dehn import CorollaryReport, TheoremReport
 from markedgroups.families import FamilySpec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -197,6 +198,24 @@ def test_verify_theorem_dihedral(capsys):
     assert all(r["K_i"]["value"] == 1 for r in data["reports"])
 
 
+def test_failing_report_exits_5(capsys, monkeypatch):
+    # K_i = 2 > delta_i(L) = 1 breaks verdict (b), which the gate always asserts
+    report = TheoremReport(i=5, n=4, ball_agreement=4, delta_i_n=1, delta_n=1, K_i=2, delta_i_L=1, L=4)
+    monkeypatch.setattr(
+        "markedgroups.cli.verify_family",
+        lambda *a, **k: ([report], [CorollaryReport.from_reports("zxz", [report])]),
+    )
+    argv = ["verify-theorem", "--family", "zxz", "--i", "5", "--n", "4"]
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    assert (code, err) == (5, "")
+    data = json.loads(out)
+    assert data["summary"]["status"] == "failed"
+    assert data["reports"][0]["k_le_delta_L_ok"] is False
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (5, "")
+    assert "FAIL" in out and "summary: failed" in out
+
+
 def test_verify_theorem_refuses_free_limit(capsys):
     code, _, err = run_cli(
         ["verify-theorem", "--family", "cyclicZ", "--i", "3..4", "--n", "2"], capsys
@@ -269,6 +288,7 @@ DAMAGE = {
     "empty": lambda text: "",
     "empty_object": lambda text: "{}",
     "other_n": lambda text: json.dumps({"n": 2, "value": 0, "exact": True, "witnesses": []}),
+    "exact_false": lambda text: text.replace('"exact": true', '"exact": false'),
 }
 
 

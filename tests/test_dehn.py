@@ -7,6 +7,7 @@ from markedgroups.area import Caps, area_exact_small
 from markedgroups.dehn import (
     DehnComputationError,
     DehnValue,
+    TheoremReport,
     compute_K,
     corollary_check,
     dehn,
@@ -31,7 +32,7 @@ def fam(name):
 
 def test_dehn_below_shortest_relation(a3):
     value = dehn(a3, build_oracle("abelian:3", a3), 2, CAPS)
-    assert value.value == 0 and value.exact and value.witnesses == ()
+    assert value.value == 0 and value.witnesses == ()
 
 
 def test_dehn_a3_at_7(a3):
@@ -54,7 +55,7 @@ def test_dehn_free_group_is_zero():
     p = parse_presentation("gens: x y\nrels:")
     for n in (0, 3, 6):
         value = dehn(p, build_oracle("free", p), n, CAPS)
-        assert value.value == 0 and value.exact
+        assert value.value == 0
 
 
 @pytest.mark.parametrize("i", [3, 4, 5])
@@ -64,7 +65,7 @@ def test_dehn_cyclic_floor_formula(i):
     for n in range(0, 11):
         value = dehn(p, oracle, n, CAPS)
         assert value.value == n // i, (i, n)
-        assert value.exact
+        assert value.to_json(p)["exact"] is True
 
 
 def test_dehn_monotone_in_n(d3):
@@ -123,14 +124,13 @@ def test_quotient_check_examples(z2, dinf):
 
 def test_compute_K_subset_case(z2):
     member = parse_presentation("gens: x y\nrels: [x,y]; y^5")
-    assert compute_K(z2, member, CAPS) == (1, True)
+    assert compute_K(z2, member, CAPS) == 1
 
 
 def test_compute_K_power_case():
     limit = parse_presentation("gens: a\nrels: a^4")
     member = parse_presentation("gens: a\nrels: a^2")
-    value, exact = compute_K(limit, member, CAPS)
-    assert value == 2 and exact
+    assert compute_K(limit, member, CAPS) == 2
 
 
 # theorem harness
@@ -138,10 +138,10 @@ def test_compute_K_power_case():
 def test_theorem_zxz_i5_n4():
     report = theorem_check(fam("zxz"), 5, 4, CAPS)
     assert report.ball_agreement == 4
-    assert report.delta_i_n == (1, True)
-    assert report.delta_n == (1, True)
-    assert report.K_i == (1, True)
-    assert report.delta_i_L == (1, True)
+    assert report.delta_i_n == 1
+    assert report.delta_n == 1
+    assert report.K_i == 1
+    assert report.delta_i_L == 1
     assert report.L == 4
     assert str(report.ratio) == "1"
     assert report.inequality_star_ok and report.k_le_delta_L_ok and report.ratio_le_delta_ok
@@ -152,7 +152,7 @@ def test_theorem_dihedral_i4_n3():
     report = theorem_check(fam("dihedral"), 4, 3, Caps(12, 10**6))
     assert report.L == 2
     assert report.ball_agreement == 3  # shortest member-only relation has length 8
-    assert report.K_i == (1, True)
+    assert report.K_i == 1
     assert report.all_pass
 
 
@@ -184,13 +184,13 @@ def test_theorem_tight_ratio_cases():
     # the ratio bound saturates once delta values exceed 1
     report = theorem_check(fam("zxz"), 7, 6, CAPS)
     assert report.applicable
-    assert report.delta_i_n == (2, True) and report.delta_n == (2, True)
-    assert report.delta_i_L == (1, True)
+    assert report.delta_i_n == 2 and report.delta_n == 2
+    assert report.delta_i_L == 1
     assert str(report.ratio) == "2"
     assert report.ratio_le_delta_ok and report.inequality_star_ok
     report = theorem_check(fam("dihedral"), 3, 4, Caps(12, 10**6))
     assert report.applicable
-    assert report.delta_i_n == (2, True) and report.delta_n == (2, True)
+    assert report.delta_i_n == 2 and report.delta_n == 2
     assert str(report.ratio) == "2"
     assert report.all_pass
 
@@ -213,6 +213,37 @@ def test_theorem_json_fields():
     json.dumps(data)
 
 
+# the release gate, on reports built from their integers
+
+def gate_report(ball_agreement, delta_i_n, delta_n, K_i, delta_i_L):
+    return TheoremReport(i=5, n=4, ball_agreement=ball_agreement, delta_i_n=delta_i_n,
+                         delta_n=delta_n, K_i=K_i, delta_i_L=delta_i_L, L=4)
+
+
+@pytest.mark.parametrize("ball_agreement, applicable", [(4, True), (2, False)])
+def test_failed_star_fails_the_gate_only_when_applicable(ball_agreement, applicable):
+    report = gate_report(ball_agreement, delta_i_n=3, delta_n=1, K_i=1, delta_i_L=3)
+    assert report.inequality_star_ok is False
+    assert report.k_le_delta_L_ok is True and report.ratio_le_delta_ok is True
+    assert report.applicable is applicable
+    assert report.all_pass is not applicable
+
+
+@pytest.mark.parametrize("ball_agreement", [4, 2])
+def test_failed_k_bound_always_fails_the_gate(ball_agreement):
+    report = gate_report(ball_agreement, delta_i_n=1, delta_n=1, K_i=2, delta_i_L=1)
+    assert report.inequality_star_ok is True and report.ratio_le_delta_ok is True
+    assert report.k_le_delta_L_ok is False
+    assert report.all_pass is False
+
+
+def test_zero_delta_L_leaves_ratio_and_verdict_c_open():
+    report = gate_report(4, delta_i_n=0, delta_n=0, K_i=0, delta_i_L=0)
+    assert report.ratio is None and report.ratio_le_delta_ok is None
+    assert report.to_json()["ratio"] is None
+    assert report.all_pass
+
+
 # corollary
 
 def test_corollary_zxz():
@@ -223,7 +254,7 @@ def test_corollary_zxz():
     excluded = [row for row in report.rows if not row["included"]]
     assert [row["i"] for row in excluded] == [3, 4]  # balls differ before 4
     for row in included:
-        assert row["delta_i_n"]["value"] <= report.M * report.delta_n[0]
+        assert row["delta_i_n"]["value"] <= report.M * report.delta_n
         assert row["bound_ok"]
     for row in excluded:
         assert row["bound_ok"] is None
@@ -233,16 +264,16 @@ def test_corollary_single_member_matches_theorem():
     corollary = corollary_check(fam("dihedral"), (4,), 3, Caps(12, 10**6))
     theorem = theorem_check(fam("dihedral"), 4, 3, Caps(12, 10**6))
     row = corollary.rows[0]
-    assert row["delta_i_n"]["value"] == theorem.delta_i_n[0]
-    assert corollary.M == theorem.delta_i_L[0]
-    assert theorem.K_i[0] <= corollary.M
+    assert row["delta_i_n"]["value"] == theorem.delta_i_n
+    assert corollary.M == theorem.delta_i_L
+    assert theorem.K_i <= corollary.M
 
 
 # worker pools
 
 def test_dehn_alone_opens_its_own_pool_only_for_searches(z2, opened_pools):
     oracle = build_oracle("abelian:0,0", z2)
-    assert dehn(z2, oracle, 3, CAPS, workers=2) == DehnValue(3, 0, True, ())
+    assert dehn(z2, oracle, 3, CAPS, workers=2) == DehnValue(3, 0, ())
     assert opened_pools == []
     assert dehn(z2, oracle, 4, CAPS, workers=2) == dehn(z2, oracle, 4, CAPS)
     assert len(opened_pools) == 1

@@ -61,10 +61,10 @@ def reference_dehn(pres, oracle, n, caps, max_witnesses=8):
             trivial.append(w)
             values.append(value)
     if not trivial:
-        return DehnValue(n, 0, True, ())
+        return DehnValue(n, 0, ())
     vmax = max(values)
     witnesses = tuple(w for w, v in zip(trivial, values) if v == vmax)[:max_witnesses]
-    return DehnValue(n, vmax, True, witnesses)
+    return DehnValue(n, vmax, witnesses)
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -32,7 +32,7 @@ def test_cyclicZ_members_and_limit():
     limit_pres, limit_oracle = fam("cyclicZ").limit()
     assert limit_pres.relators == ()
     assert max_relator_length(limit_pres) is None
-    assert limit_oracle.exact
+    assert limit_oracle.start(limit_pres.ngens) is not None
 
 
 def test_dihedral_member_orders():
@@ -72,7 +72,7 @@ def test_convergence_witnessed():
     ):
         report = convergence_report(family, i_values, lam_max)
         assert report.lambda_non_decreasing
-        radii = [d.agreement_radius() for _, d in report.rows]
+        radii = [d.lam for _, d in report.rows]
         assert radii[-1] > radii[0]
 
 

@@ -35,7 +35,7 @@ class ScanOracle(Oracle):
 
     def __init__(self, inner):
         self.inner = inner
-        self.spec, self.soundness, self.exact = inner.spec, inner.soundness, inner.exact
+        self.spec, self.soundness = inner.spec, inner.soundness
 
     def decide(self, w):
         return self.inner.decide(w)
