@@ -28,7 +28,17 @@ def default_cache_dir() -> str | None:
 
 class ResultCache:
     def __init__(self, directory: str | Path | None):
+        """Caching is off without a directory.  A directory is made here if
+        missing; one that cannot be made or written raises ValueError."""
         self.directory = Path(directory) if directory else None
+        if self.directory is None:
+            return
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass  # reported below, naming the directory
+        if not (self.directory.is_dir() and os.access(self.directory, os.W_OK | os.X_OK)):
+            raise ValueError(f"cache directory {str(directory)!r} is not a writable directory")
 
     @property
     def enabled(self) -> bool:
@@ -53,7 +63,6 @@ class ResultCache:
     def put(self, key: str, payload) -> None:
         if not self.enabled:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         # One temporary name per process, so concurrent writers never share it.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -145,6 +145,8 @@ def _parse_radii(text: str) -> list[int]:
         raise ValueError(f"--n {text!r}: expected comma-separated integers") from None
     if not radii:
         raise ValueError(f"--n {text!r} gives no radius; give a comma-separated list such as 2,4")
+    if min(radii) < 0:
+        raise ValueError(f"--n {text!r}: radii must be nonnegative")
     return radii
 
 
@@ -264,7 +266,7 @@ def cmd_dehn(args) -> int:
     caps = Caps(length_cap, args.node_cap)
     cache = ResultCache(args.cache_dir or default_cache_dir())
     rows_json = []
-    with worker_pool(args.workers) as pool:
+    with worker_pool(args.workers) as fan_out:
         for n in radii:
             key = ResultCache.make_key(
                 op="dehn",
@@ -279,7 +281,7 @@ def cmd_dehn(args) -> int:
             if _is_dehn_row(hit, n):
                 rows_json.append(hit)
                 continue
-            value = dehn(pres, oracle, n, caps, workers=args.workers, pool=pool)
+            value = dehn(pres, oracle, n, caps, fan_out)
             row = value.to_json(pres)
             cache.put(key, row)
             rows_json.append(row)
@@ -348,7 +350,8 @@ def cmd_verify_theorem(args) -> int:
     floor = max(radii + [L])
     length_cap = _default_length_cap(args, floor, family.limit_pres)
     caps = Caps(length_cap, args.node_cap)
-    reports, corollaries = verify_family(family, indices, radii, caps, workers=args.workers)
+    with worker_pool(args.workers) as fan_out:
+        reports, corollaries = verify_family(family, indices, radii, caps, fan_out)
     failed = any(not r.all_pass for r in reports) or any(not c.all_pass for c in corollaries)
     status = "failed" if failed else "verified"
     payload = {

@@ -45,9 +45,9 @@ class CayleyTable:
     def cosets(self) -> int:
         return len(self.rows)
 
-    def trace(self, letters: tuple[int, ...], start: int = 0) -> int | None:
-        """Image of ``start`` under the word, None on an undefined edge."""
-        current: int | None = start
+    def trace(self, letters: tuple[int, ...]) -> int | None:
+        """Image of coset 0 under the word, None on an undefined edge."""
+        current: int | None = 0
         for x in letters:
             if current is None:
                 return None

@@ -23,20 +23,24 @@ the caps, since a search that cannot show its minimum raises instead.
 :func:`verify_family` computes each quantity once per call and reads the
 uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
 reports of each radius, with no search of its own.
+
+The area searches of a table run through a ``map``: the builtin one, or
+that of the one process pool a command opens with :func:`worker_pool`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle
 from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance, trivial_letters
-from .words import Word, invert_letters, letter_key, letters_key
+from .words import Word, invert_letters, letter_key, letters_key, signed_letters
 
 __all__ = [
     "DehnValue",
@@ -51,6 +55,9 @@ __all__ = [
     "theorem_check",
     "corollary_check",
 ]
+
+
+MAX_WITNESSES = 8
 
 
 class DehnComputationError(RuntimeError):
@@ -102,7 +109,7 @@ def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tupl
     :func:`letter_key` of its image, so images of one word compare in
     length-lex order as plain tuples.
     """
-    letters = [x for g in range(1, pres.ngens + 1) for x in (g, -g)]
+    letters = signed_letters(pres.ngens)
     key_maps = [
         dict(zip(letters, map(letter_key, apply_symmetry(sym, letters))))
         for sym in splice_symmetries(pres)
@@ -116,31 +123,32 @@ def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tupl
     return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
 
 
+@contextmanager
 def worker_pool(workers: int):
-    """A context giving a process pool of ``workers`` processes, or None for one worker.
+    """A context giving the ``map`` that area searches fan out through.
 
-    The pool is built through the name ``ProcessPoolExecutor`` of this
-    module.  Under the fork start method the executor starts its
+    For one worker that is the builtin ``map``.  Otherwise it is the
+    ``map`` of one process pool of ``workers`` processes over one list
+    ``items``, in chunks of ``max(1, len(items) // (4 * workers))``
+    items.  The pool is built through the name ``ProcessPoolExecutor``
+    of this module and is shut down, its processes joined, when the
+    context exits.  Under the fork start method the executor starts its
     processes at the first ``map``, so a pool that is never used starts
     no process.
     """
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
-def dehn(
-    pres: Presentation,
-    oracle: Oracle,
-    n: int,
-    caps: Caps,
-    workers: int = 1,
-    max_witnesses: int = 8,
-    *,
-    pool: ProcessPoolExecutor | None = None,
-) -> DehnValue:
+def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnValue:
     """List the trivial words of the ball, maximise their areas.
 
     The trivial words come from :func:`trivial_letters` and are taken in
-    length-lex order.
+    length-lex order; the first :data:`MAX_WITNESSES` words of maximal
+    area are the witnesses.
 
     Areas are searched once per symmetry orbit of trivial words.  Word
     inversion and every signed generator permutation that maps the
@@ -152,13 +160,12 @@ def dehn(
     splice graphs, so their searches can differ only inside the final
     breadth-first level.
 
-    The representative searches are independent, so they can fan out
-    across processes in one ``pool.map`` whose chunk size follows
-    ``workers``; results are reduced in enumeration order, which keeps
-    the outcome identical for any worker count.  A caller that computes
-    several tables passes its own ``pool`` (see :func:`worker_pool`);
-    without one, a call with ``workers`` > 1 opens a pool for its
-    searches and closes it before returning.
+    The representative searches are independent, so they run through one
+    ``fan_out(search, representatives)`` call: the builtin ``map``, or
+    the ``map`` of a process pool from :func:`worker_pool`, which a
+    caller computing several tables opens once for all of them.  Results
+    come back in enumeration order, which keeps the outcome identical
+    for any worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -167,14 +174,7 @@ def dehn(
     if not trivial:
         return DehnValue(n, 0, ())
     reps, word_orbit = _orbits(pres, trivial)
-    with worker_pool(workers) if pool is None else nullcontext(pool) as pool:
-        if pool is None:
-            rep_values = [_area_value(pres, caps, letters) for letters in reps]
-        else:
-            rep_values = list(
-                pool.map(_area_value, [pres] * len(reps), [caps] * len(reps), reps,
-                         chunksize=max(1, len(reps) // (4 * workers)))
-            )
+    rep_values = list(fan_out(partial(_area_value, pres, caps), reps))
     values = [rep_values[orbit] for orbit in word_orbit]
     for letters, value in zip(trivial, values):
         if value < 0:
@@ -182,7 +182,7 @@ def dehn(
     vmax = max(values)
     witnesses = tuple(
         Word(pres.ngens, letters) for letters, value in zip(trivial, values) if value == vmax
-    )[:max_witnesses]
+    )[:MAX_WITNESSES]
     return DehnValue(n, vmax, witnesses)
 
 
@@ -323,7 +323,7 @@ class CorollaryReport:
 
 
 def verify_family(
-    family, i_values, radii, caps: Caps, workers: int = 1
+    family, i_values, radii, caps: Caps, fan_out=map
 ) -> tuple[list[TheoremReport], list[CorollaryReport]]:
     """Theorem reports for every (n, i), n outer, and one corollary per radius.
 
@@ -342,9 +342,9 @@ def verify_family(
     failure of that member's Dehn tables.  Each corollary is read off
     the reports of its radius.
 
-    With ``workers`` > 1 one process pool serves every Dehn table of the
-    call (see :func:`worker_pool`), and it is closed, its processes
-    joined, before the call returns or raises.
+    Every Dehn table of the call runs its area searches through
+    ``fan_out`` (see :func:`dehn`), so one :func:`worker_pool` opened by
+    the caller serves them all.
     """
     i_values, radii = tuple(i_values), tuple(radii)
     if not i_values or not radii:
@@ -373,17 +373,16 @@ def verify_family(
         return member_pres, member_oracle
 
     reports = []
-    with worker_pool(workers) as pool:
-        for n in radii:
-            for i in i_values:
-                member_pres, member_oracle = once(("member", i), lambda: member(i))
-                agreement = once(("agreement", i), lambda: distance(
-                    member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).lam)
-                d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, workers, pool=pool))
-                d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, workers, pool=pool))
-                d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, workers, pool=pool))
-                K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
-                reports.append(TheoremReport(i, n, min(agreement, n), d_i_n.value, d_n.value, K, d_i_L.value, L))
+    for n in radii:
+        for i in i_values:
+            member_pres, member_oracle = once(("member", i), lambda: member(i))
+            agreement = once(("agreement", i), lambda: distance(
+                member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).lam)
+            d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, fan_out))
+            d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, fan_out))
+            d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, fan_out))
+            K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
+            reports.append(TheoremReport(i, n, min(agreement, n), d_i_n.value, d_n.value, K, d_i_L.value, L))
     width = len(i_values)
     corollaries = [
         CorollaryReport.from_reports(family.name, reports[k * width : (k + 1) * width])
@@ -392,14 +391,14 @@ def verify_family(
     return reports, corollaries
 
 
-def theorem_check(family, i: int, n: int, caps: Caps, workers: int = 1) -> TheoremReport:
+def theorem_check(family, i: int, n: int, caps: Caps) -> TheoremReport:
     """Compute every quantity of the inequality for one member and radius."""
-    return verify_family(family, (i,), (n,), caps, workers)[0][0]
+    return verify_family(family, (i,), (n,), caps)[0][0]
 
 
-def corollary_check(family, i_values, n: int, caps: Caps, workers: int = 1) -> CorollaryReport:
+def corollary_check(family, i_values, n: int, caps: Caps) -> CorollaryReport:
     """Check the uniform bound across the tested members at one radius.
 
     Runs :func:`verify_family`, so every member also passes the quotient check.
     """
-    return verify_family(family, i_values, (n,), caps, workers)[1][0]
+    return verify_family(family, i_values, (n,), caps)[1][0]

@@ -35,7 +35,6 @@ __all__ = ["FamilySpec", "builtin_families", "get_family", "load_manifest"]
 class FamilySpec:
     name: str
     valid_i: int
-    notes: str
     limit_pres: Presentation
     limit_oracle_spec: str
     member_pres_template: str  # presentation text with $i
@@ -58,30 +57,11 @@ class FamilySpec:
         pres = parse_presentation(text, name=f"{self.name}[{i}]")
         return pres, build_oracle(spec, pres)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "valid_i": self.valid_i,
-            "notes": self.notes,
-            "limit": {
-                "presentation": self.limit_pres.to_text(),
-                "oracle": self.limit_oracle_spec,
-            },
-            "member_template": {
-                "presentation": self.member_pres_template,
-                "oracle": self.member_oracle_template,
-            },
-        }
-
 
 def builtin_families() -> tuple[FamilySpec, ...]:
     cyclic = FamilySpec(
         name="cyclicZ",
         valid_i=2,
-        notes=(
-            "finite cyclic groups converging to Z; the limit is free, so the "
-            "inequality harness refuses it (L undefined)"
-        ),
         limit_pres=parse_presentation("gens: x\nrels:", name="cyclicZ[limit]"),
         limit_oracle_spec="abelian:0",
         member_pres_template="gens: x\nrels: x^$i",
@@ -90,7 +70,6 @@ def builtin_families() -> tuple[FamilySpec, ...]:
     zxz = FamilySpec(
         name="zxz",
         valid_i=2,
-        notes="Z x Z/iZ converging to Z x Z; exponent-sum oracles on both sides",
         limit_pres=parse_presentation("gens: x y\nrels: [x,y]", name="zxz[limit]"),
         limit_oracle_spec="abelian:0,0",
         member_pres_template="gens: x y\nrels: [x,y]; y^$i",
@@ -99,11 +78,6 @@ def builtin_families() -> tuple[FamilySpec, ...]:
     dihedral = FamilySpec(
         name="dihedral",
         valid_i=2,
-        notes=(
-            "finite dihedral groups of order 2i converging to the infinite "
-            "dihedral group; coset tables for members, involution rewriting "
-            "for the limit"
-        ),
         limit_pres=parse_presentation("gens: a b\nrels: a^2; b^2", name="dihedral[limit]"),
         limit_oracle_spec="rewriting:involutions",
         member_pres_template="gens: a b\nrels: a^2; b^2; (a b)^$i",
@@ -132,15 +106,15 @@ def load_manifest(path: str | Path) -> FamilySpec:
         {
           "name": "...",
           "valid_i": 2,
-          "notes": "optional",
           "limit": {"presentation": "file.pres", "oracle": "abelian:0,0"},
           "member_template": {"presentation": "gens: ...\nrels: ... $i",
                               "oracle": "abelian:0,$i"}
         }
 
     The limit presentation is a file path relative to the manifest; the
-    member presentation is inline text with $i substituted.  A manifest
-    that is not shaped like this raises ValueError naming what is wrong.
+    member presentation is inline text with $i substituted.  Other keys,
+    such as "notes", are ignored.  A manifest that is not shaped like
+    this raises ValueError naming what is wrong.
     """
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -168,7 +142,6 @@ def load_manifest(path: str | Path) -> FamilySpec:
     return FamilySpec(
         name=name,
         valid_i=valid_i,
-        notes=data.get("notes", ""),
         limit_pres=limit_pres,
         limit_oracle_spec=field("limit", "oracle"),
         member_pres_template=field("member_template", "presentation"),

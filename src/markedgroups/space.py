@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .oracles import Oracle
 from .presentations import Presentation
-from .words import Word, enumerate_ball
+from .words import Word, enumerate_ball, signed_letters
 
 __all__ = [
     "RelationBall",
@@ -88,10 +88,6 @@ class MarkedDistance:
         return f"d {op} e^-{self.lam} ({self.display:.6g})"
 
 
-def _alphabet(ngens: int) -> list[int]:
-    return [x for g in range(1, ngens + 1) for x in (g, -g)]
-
-
 def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, ...]]:
     """Letter tuples of the trivial reduced words of length <= radius, in no set order.
 
@@ -106,7 +102,7 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
     if state is None:
         return [w.letters for w in enumerate_ball(ngens, radius) if oracle.is_trivial(w)]
     step, identity_distance = oracle.step, oracle.identity_distance
-    alphabet = _alphabet(ngens)
+    alphabet = signed_letters(ngens)
     found = []
     stack = [((), state, 0)]  # (letters, state, identity distance)
     while stack:
@@ -162,7 +158,7 @@ def distance(
         return MarkedDistance("at_most", lambda_max)
     step1, step2 = oracle1.step, oracle2.step
     distance1, distance2 = oracle1.identity_distance, oracle2.identity_distance
-    alphabet = _alphabet(pres1.ngens)
+    alphabet = signed_letters(pres1.ngens)
     level = [(state1, state2, 0)]
     seen = set(level)
     for length in range(1, lambda_max + 1):

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "Word",
+    "signed_letters",
     "make_word",
     "free_reduce",
     "conjugate",
@@ -64,6 +65,11 @@ def _splice(prefix: tuple[int, ...], move: tuple[int, ...], suffix: tuple[int, .
         j += 1
     out.extend(suffix[j:])
     return tuple(out)
+
+
+def signed_letters(ngens: int) -> tuple[int, ...]:
+    """The signed letters of ``ngens`` generators in the documented letter order."""
+    return tuple(x for g in range(1, ngens + 1) for x in (g, -g))
 
 
 def letter_key(x: int) -> tuple[int, int]:
@@ -123,10 +129,6 @@ class Word:
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __mul__(self, other: "Word") -> "Word":
         if self.ngens != other.ngens:
             raise ValueError("cannot multiply words over different markings")
@@ -185,7 +187,7 @@ def shell(ngens: int, length: int) -> Iterator[tuple[int, ...]]:
     if length == 0:
         yield ()
         return
-    alphabet = [x for j in range(1, ngens + 1) for x in (j, -j)]
+    alphabet = signed_letters(ngens)
     for prev in shell(ngens, length - 1):
         last = prev[-1] if prev else 0
         for x in alphabet:

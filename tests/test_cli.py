@@ -244,6 +244,25 @@ def test_cache_env_var(pres_dir, capsys, monkeypatch):
     assert any(cache_dir.iterdir())
 
 
+def _no_search(pres, caps, letters):
+    raise AssertionError("an area search ran")
+
+
+@pytest.mark.parametrize("via", ["option", "env"])
+def test_unusable_cache_dir_is_an_input_error(via, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("", encoding="utf-8")
+    argv = ["dehn", "--family", "zxz", "--i", "3", "--n", "2"]
+    if via == "option":
+        argv += ["--cache-dir", str(blocker)]
+    else:
+        monkeypatch.setenv(ENV_VAR, str(blocker))
+    monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "_area_value", _no_search)
+    assert run_cli(argv, capsys) == (
+        2, "", f"error: cache directory {str(blocker)!r} is not a writable directory\n"
+    )
+
+
 def test_table_format_is_default(capsys):
     code, out, _ = run_cli(["dist", "--family", "cyclicZ", "--i", "3"], capsys)
     assert code == 0
@@ -538,13 +557,12 @@ def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, capsys):
     assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
 
 
-def test_failed_search_leaves_no_worker_running(capsys):
-    code, out, err = run_cli(
-        ["verify-theorem", "--family", "zxz", "--i", "3..4", "--n", "4", "--node-cap", "3",
-         "--workers", "2"], capsys
-    )
+@pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
+def test_failed_search_leaves_no_worker_running(command, opened_pools, started_processes, capsys):
+    code, out, err = run_cli([*POOL_COMMANDS[command], "--node-cap", "3", "--workers", "2"], capsys)
     assert (code, out) == (3, "")
-    assert err.startswith("not found: area search exhausted caps")
+    assert err.startswith("not found: area search exhausted caps") and err.count("\n") == 1
+    assert len(opened_pools) == 1 and started_processes != []
     assert multiprocessing.active_children() == []
 
 
@@ -565,7 +583,12 @@ def test_dead_worker_is_exit_6(command, monkeypatch, capsys):
     (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2,x"],
      "--n '2,x': expected comma-separated integers"),
     (["dehn", "--family", "zxz", "--i", "3", "--n", "4.5"], "--n '4.5': expected comma-separated integers"),
-], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n"])
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "-1"], "--n '-1': radii must be nonnegative"),
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "2,-1"], "--n '2,-1': radii must be nonnegative"),
+    (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "-1"], "--n '-1': radii must be nonnegative"),
+    (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2,-1"], "--n '2,-1': radii must be nonnegative"),
+], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n", "dehn-n-negative", "dehn-n-mixed",
+        "verify-theorem-n-negative", "verify-theorem-n-mixed"])
 def test_index_and_radius_parse_errors_name_the_option(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 

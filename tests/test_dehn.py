@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 
@@ -5,6 +6,7 @@ import pytest
 
 from markedgroups.area import Caps, area_exact_small
 from markedgroups.dehn import (
+    MAX_WITNESSES,
     DehnComputationError,
     DehnValue,
     TheoremReport,
@@ -97,8 +99,9 @@ def test_dehn_caps_too_small_reports_word(a3):
 
 def test_dehn_workers_match_serial(z2):
     oracle = build_oracle("abelian:0,0", z2)
-    serial = dehn(z2, oracle, 4, CAPS, workers=1)
-    parallel = dehn(z2, oracle, 4, CAPS, workers=2)
+    serial = dehn(z2, oracle, 4, CAPS)
+    with worker_pool(2) as fan_out:
+        parallel = dehn(z2, oracle, 4, CAPS, fan_out)
     assert serial == parallel
 
 
@@ -195,10 +198,14 @@ def test_theorem_tight_ratio_cases():
     assert report.all_pass
 
 
-def test_dehn_witness_cap():
-    z2 = parse_presentation("gens: x y\nrels: [x,y]")
-    value = dehn(z2, build_oracle("abelian:0,0", z2), 4, CAPS, max_witnesses=3)
-    assert value.value == 1 and len(value.witnesses) == 3
+def test_dehn_witness_cap(z2, monkeypatch):
+    # Z^2 has 16 trivial words of maximal area at n = 8; the table lists the first 8
+    oracle, caps = build_oracle("abelian:0,0", z2), Caps(16, 10**6)
+    value = dehn(z2, oracle, 8, caps)
+    monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "MAX_WITNESSES", 100)
+    every = dehn(z2, oracle, 8, caps)
+    assert MAX_WITNESSES == 8 and len(every.witnesses) == 16
+    assert value == DehnValue(8, every.value, every.witnesses[:8])
 
 
 def test_theorem_json_fields():
@@ -271,18 +278,24 @@ def test_corollary_single_member_matches_theorem():
 
 # worker pools
 
-def test_dehn_alone_opens_its_own_pool_only_for_searches(z2, opened_pools):
+def test_worker_pool_starts_processes_at_the_first_search(z2, opened_pools):
     oracle = build_oracle("abelian:0,0", z2)
-    assert dehn(z2, oracle, 3, CAPS, workers=2) == DehnValue(3, 0, ())
+    with worker_pool(1) as fan_out:
+        assert fan_out is map
     assert opened_pools == []
-    assert dehn(z2, oracle, 4, CAPS, workers=2) == dehn(z2, oracle, 4, CAPS)
+    with worker_pool(2) as fan_out:
+        assert dehn(z2, oracle, 3, CAPS, fan_out) == DehnValue(3, 0, ())
+        assert multiprocessing.active_children() == []
+        assert dehn(z2, oracle, 4, CAPS, fan_out) == dehn(z2, oracle, 4, CAPS)
+        assert multiprocessing.active_children() != []
     assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_dehn_uses_the_callers_pool(z2, opened_pools):
     oracle = build_oracle("abelian:0,0", z2)
-    with worker_pool(2) as pool:
-        tables = [dehn(z2, oracle, n, CAPS, workers=2, pool=pool) for n in (4, 6)]
+    with worker_pool(2) as fan_out:
+        tables = [dehn(z2, oracle, n, CAPS, fan_out) for n in (4, 6)]
         assert multiprocessing.active_children() != []
     assert tables == [dehn(z2, oracle, n, CAPS) for n in (4, 6)]
     assert len(opened_pools) == 1
@@ -293,7 +306,8 @@ def test_dehn_uses_the_callers_pool(z2, opened_pools):
 def test_verify_family_opens_at_most_one_pool(workers, pools, opened_pools):
     serial = verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS)
     assert opened_pools == []
-    assert verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS, workers=workers) == serial
+    with worker_pool(workers) as fan_out:
+        assert verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS, fan_out) == serial
     assert len(opened_pools) == pools
     assert multiprocessing.active_children() == []
 

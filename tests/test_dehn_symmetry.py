@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from markedgroups.area import AreaNotFound, Caps, area_search
-from markedgroups.dehn import DehnComputationError, DehnValue, dehn
+from markedgroups.dehn import DehnComputationError, DehnValue, dehn, worker_pool
 from markedgroups.families import get_family
 from markedgroups.oracles import build_oracle
 from markedgroups.presentations import (
@@ -46,7 +46,7 @@ def _group(name):
 GROUPS = ["z2", "zxz3", "dihedral3", "dihedral4", "dihedral5", "dihedral6", "a3", "z3"]
 
 
-def reference_dehn(pres, oracle, n, caps, max_witnesses=8):
+def reference_dehn(pres, oracle, n, caps):
     """One area search per trivial word, in enumeration order."""
     trivial, values = [], []
     for length in range(1, n + 1):
@@ -63,7 +63,7 @@ def reference_dehn(pres, oracle, n, caps, max_witnesses=8):
     if not trivial:
         return DehnValue(n, 0, ())
     vmax = max(values)
-    witnesses = tuple(w for w, v in zip(trivial, values) if v == vmax)[:max_witnesses]
+    witnesses = tuple(w for w, v in zip(trivial, values) if v == vmax)[:8]
     return DehnValue(n, vmax, witnesses)
 
 
@@ -71,11 +71,12 @@ def reference_dehn(pres, oracle, n, caps, max_witnesses=8):
 def test_orbit_reduced_dehn_matches_per_word_reference(name):
     pres, oracle = _group(name)
     longest = max(len(r) for r in pres.relators)
-    for n in (2, 4, 6):
-        caps = Caps(n + longest // 2, 10**6)
-        expected = reference_dehn(pres, oracle, n, caps)
-        for workers in (1, 2):
-            assert dehn(pres, oracle, n, caps, workers=workers) == expected, (name, n, workers)
+    cases = [(n, Caps(n + longest // 2, 10**6)) for n in (2, 4, 6)]
+    expected = [reference_dehn(pres, oracle, n, caps) for n, caps in cases]
+    for workers in (1, 2, 3):
+        with worker_pool(workers) as fan_out:
+            got = [dehn(pres, oracle, n, caps, fan_out) for n, caps in cases]
+        assert got == expected, (name, workers)
 
 
 def test_cap_exhaustion_reports_the_same_word():
@@ -85,9 +86,9 @@ def test_cap_exhaustion_reports_the_same_word():
     caps = Caps(1, 10**6)
     with pytest.raises(DehnComputationError) as expected:
         reference_dehn(pres, oracle, 1, caps)
-    for workers in (1, 2):
-        with pytest.raises(DehnComputationError) as got:
-            dehn(pres, oracle, 1, caps, workers=workers)
+    for workers in (1, 2, 3):
+        with worker_pool(workers) as fan_out, pytest.raises(DehnComputationError) as got:
+            dehn(pres, oracle, 1, caps, fan_out)
         assert got.value.word == expected.value.word
 
 

@@ -25,7 +25,7 @@ from markedgroups.oracles import (
 )
 from markedgroups.presentations import parse_presentation
 from markedgroups.space import distance, rel_ball
-from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce
+from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce, signed_letters
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -118,7 +118,7 @@ def test_folded_state_is_identity_exactly_when_decide_says_trivial(case):
 def test_identity_distance_is_consistent(case):
     name, letters = case
     pres, oracle = GROUPS[name]
-    alphabet = [x for g in range(1, pres.ngens + 1) for x in (g, -g)]
+    alphabet = signed_letters(pres.ngens)
     states = _fold(oracle, pres.ngens, letters)
     assert oracle.identity_distance(states[0]) == 0
     for state in states:

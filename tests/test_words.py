@@ -16,6 +16,7 @@ from markedgroups.words import (
     letters_key,
     make_word,
     shell,
+    signed_letters,
     word_to_str,
 )
 
@@ -24,6 +25,13 @@ def rand_word(rng, ngens, max_len):
     letters = [rng.choice([s * j for j in range(1, ngens + 1) for s in (1, -1)])
                for _ in range(rng.randint(0, max_len))]
     return make_word(ngens, letters)
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_signed_letters_follow_the_letter_order(ngens):
+    letters = signed_letters(ngens)
+    assert letters == tuple(sorted(letters, key=letter_key))
+    assert set(letters) == {s * j for j in range(1, ngens + 1) for s in (1, -1)}
 
 
 def test_reduce_examples():
