@@ -191,7 +191,7 @@ def _default_length_cap(args, floor: int, pres: Presentation) -> int:
             raise ValueError(f"--length-cap must be at least {floor}")
         return args.length_cap
     L = max_relator_length(pres) or 0
-    return max(floor + 2 * L, floor, 4)
+    return max(floor + 2 * L, 4)
 
 
 def _render_table(headers: list[str], rows: list[list]) -> str:
@@ -262,38 +262,31 @@ def _is_dehn_row(hit, n: int) -> bool:
 def cmd_dehn(args) -> int:
     pres, oracle, label = _resolve_group(args)
     radii = _parse_radii(args.n)
-    length_cap = _default_length_cap(args, max(radii, default=0), pres)
+    length_cap = _default_length_cap(args, max(radii), pres)
     caps = Caps(length_cap, args.node_cap)
     cache = ResultCache(args.cache_dir or default_cache_dir())
-    rows_json = []
+    keys = {
+        n: ResultCache.make_key(op="dehn", presentation=pres.to_text(), oracle=oracle.spec, n=n,
+                                length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
+        for n in radii
+    }
+    rows = {n: cache.get(key) for n, key in keys.items()}
+    missing = [n for n, hit in rows.items() if not _is_dehn_row(hit, n)]
     with worker_pool(args.workers) as fan_out:
-        for n in radii:
-            key = ResultCache.make_key(
-                op="dehn",
-                presentation=pres.to_text(),
-                oracle=oracle.spec,
-                n=n,
-                length_cap=caps.length_cap,
-                node_cap=caps.node_cap,
-                version=__version__,
-            )
-            hit = cache.get(key)
-            if _is_dehn_row(hit, n):
-                rows_json.append(hit)
-                continue
-            value = dehn(pres, oracle, n, caps, fan_out)
-            row = value.to_json(pres)
-            cache.put(key, row)
-            rows_json.append(row)
+        if missing:
+            table = dehn(pres, oracle, max(missing), caps, fan_out)
+            for n in missing:
+                rows[n] = table.at(n).to_json(pres)
+                cache.put(keys[n], rows[n])
     payload = {
         "presentation": label,
         "oracle": oracle.spec,
         "caps": {"length_cap": caps.length_cap, "node_cap": caps.node_cap},
-        "rows": rows_json,
+        "rows": [rows[n] for n in radii],
     }
     table_rows = [
         [row["n"], row["value"], row["exact"], " | ".join(row["witnesses"][:4]) or "-"]
-        for row in rows_json
+        for row in payload["rows"]
     ]
     _emit(args, payload, ["n", "value", "exact", "witnesses"], table_rows)
     return EXIT_OK

@@ -20,7 +20,7 @@ The limsup itself is not finitely observable, so the reports state only
 what was computed, for the tested members.  Each value is exact within
 the caps, since a search that cannot show its minimum raises instead.
 
-:func:`verify_family` computes each quantity once per call and reads the
+:func:`verify_family` computes one Dehn table per group and reads the
 uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
 reports of each radius, with no search of its own.
 
@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import groupby, islice
 
 from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle
@@ -44,6 +45,7 @@ from .words import Word, invert_letters, letter_key, letters_key, signed_letters
 
 __all__ = [
     "DehnValue",
+    "DehnTable",
     "DehnComputationError",
     "TheoremReport",
     "CorollaryReport",
@@ -91,6 +93,26 @@ class DehnValue:
             **_exact(self.value),
             "witnesses": [pres.word_str(w) for w in self.witnesses],
         }
+
+
+@dataclass(frozen=True)
+class DehnTable:
+    """A Dehn table up to radius n: ``lengths[l]`` is the largest area of a
+    nonempty trivial word of length exactly l with the first
+    :data:`MAX_WITNESSES` such words in length-lex order, else ``(0, ())``."""
+
+    n: int
+    lengths: tuple[tuple[int, tuple[Word, ...]], ...]
+
+    def at(self, n: int) -> DehnValue:
+        """The entry for radius n: the first words of maximal area over the
+        lengths <= n, taken from the lengths that reach it, shortest first."""
+        if not 0 <= n <= self.n:
+            raise ValueError(f"radius {n} is outside this table's range 0..{self.n}")
+        upto = self.lengths[: n + 1]
+        vmax = max(value for value, _ in upto)
+        witnesses = [w for value, words in upto if value == vmax for w in words]
+        return DehnValue(n, vmax, tuple(witnesses[:MAX_WITNESSES]))
 
 
 def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> int:
@@ -143,12 +165,15 @@ def worker_pool(workers: int):
         yield lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
-def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnValue:
-    """List the trivial words of the ball, maximise their areas.
+def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnTable:
+    """List the trivial words of the ball, record their areas per length.
 
     The trivial words come from :func:`trivial_letters` and are taken in
-    length-lex order; the first :data:`MAX_WITNESSES` words of maximal
-    area are the witnesses.
+    length-lex order.  For each length the table keeps the largest area
+    and the first :data:`MAX_WITNESSES` words of that area, from which
+    :meth:`DehnTable.at` reads the entry of every radius up to n.  The
+    caps do not depend on the radius, so that entry is the one a table
+    computed at the smaller radius would give.
 
     Areas are searched once per symmetry orbit of trivial words.  Word
     inversion and every signed generator permutation that maps the
@@ -167,23 +192,20 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
     come back in enumeration order, which keeps the outcome identical
     for any worker count.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    found = trivial_letters(oracle, pres.ngens, n)
-    trivial = sorted((letters for letters in found if letters), key=letters_key)
-    if not trivial:
-        return DehnValue(n, 0, ())
+    trivial = sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key)
     reps, word_orbit = _orbits(pres, trivial)
     rep_values = list(fan_out(partial(_area_value, pres, caps), reps))
     values = [rep_values[orbit] for orbit in word_orbit]
     for letters, value in zip(trivial, values):
         if value < 0:
             raise DehnComputationError(Word(pres.ngens, letters), pres, caps)
-    vmax = max(values)
-    witnesses = tuple(
-        Word(pres.ngens, letters) for letters, value in zip(trivial, values) if value == vmax
-    )[:MAX_WITNESSES]
-    return DehnValue(n, vmax, witnesses)
+    lengths = [(0, ())] * (n + 1)
+    for length, group in groupby(zip(trivial, values), key=lambda item: len(item[0])):
+        group = list(group)
+        vmax = max(value for _, value in group)
+        best = (Word(pres.ngens, letters) for letters, value in group if value == vmax)
+        lengths[length] = (vmax, tuple(islice(best, MAX_WITNESSES)))
+    return DehnTable(n, tuple(lengths))
 
 
 def quotient_check(limit_pres: Presentation, member_oracle: Oracle) -> bool:
@@ -327,20 +349,15 @@ def verify_family(
 ) -> tuple[list[TheoremReport], list[CorollaryReport]]:
     """Theorem reports for every (n, i), n outer, and one corollary per radius.
 
-    Each quantity is computed once per call: the limit, each member with
-    its quotient check, the ball agreement, K_i and delta_i(L) once per
-    member, delta(n) once per radius, and delta_i(n) once per (i, n); at
-    n = L, delta_i(n) and delta_i(L) are one value.  The ball agreement
-    is scanned once, up to the largest radius, and the report at radius
-    n reads min(agreement, n): the scan stops at the first disagreement,
-    so that is what a scan up to n would give.  A quantity is computed at
-    the first report that needs it, in the order agreement, delta_i(n),
-    delta(n), delta_i(L), K_i, so the first failure does not depend on
-    which values are reused.  With an oracle that can answer unknown
-    (``derivation``), the agreement scan of a member's first report
-    reaches the largest radius, so its unknown verdict comes before any
-    failure of that member's Dehn tables.  Each corollary is read off
-    the reports of its radius.
+    Each quantity is computed once, and the first failure is that of the
+    first step to fail in this order: member by member, in the order of
+    ``i_values`` (a repeated index once), the quotient check, the ball
+    agreement scanned up to the largest radius, one Dehn table at
+    max(largest radius, L) and K_i; then one limit Dehn table at the
+    largest radius.  A report at radius n reads
+    min(agreement, n), since the scan stops at the first disagreement,
+    and its Dehn values off the tables.  Each corollary is read off the
+    reports of its radius.
 
     Every Dehn table of the call runs its area searches through
     ``fan_out`` (see :func:`dehn`), so one :func:`worker_pool` opened by
@@ -356,38 +373,28 @@ def verify_family(
             f"family {family.name!r}: the limit has no relators, so L is undefined "
             "and the inequality cannot be formed"
         )
-    memo: dict = {}
-
-    def once(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
-    def member(i):
+    top = max(radii)
+    members = {}
+    for i in dict.fromkeys(i_values):
         member_pres, member_oracle = family.member(i)
         if not quotient_check(limit_pres, member_oracle):
             raise ValueError(
                 f"family {family.name!r}: member {i} is not a quotient of the limit; "
                 "K_i does not exist"
             )
-        return member_pres, member_oracle
-
-    reports = []
+        agreement = distance(member_pres, member_oracle, limit_pres, limit_oracle, top).lam
+        table = dehn(member_pres, member_oracle, max(top, L), caps, fan_out)
+        members[i] = (agreement, table, compute_K(limit_pres, member_pres, caps))
+    limit_table = dehn(limit_pres, limit_oracle, top, caps, fan_out)
+    reports, corollaries = [], []
     for n in radii:
+        delta_n = limit_table.at(n).value
+        row = []
         for i in i_values:
-            member_pres, member_oracle = once(("member", i), lambda: member(i))
-            agreement = once(("agreement", i), lambda: distance(
-                member_pres, member_oracle, limit_pres, limit_oracle, max(radii)).lam)
-            d_i_n = once(("dehn", i, n), lambda: dehn(member_pres, member_oracle, n, caps, fan_out))
-            d_n = once(("dehn", None, n), lambda: dehn(limit_pres, limit_oracle, n, caps, fan_out))
-            d_i_L = once(("dehn", i, L), lambda: dehn(member_pres, member_oracle, L, caps, fan_out))
-            K = once(("K", i), lambda: compute_K(limit_pres, member_pres, caps))
-            reports.append(TheoremReport(i, n, min(agreement, n), d_i_n.value, d_n.value, K, d_i_L.value, L))
-    width = len(i_values)
-    corollaries = [
-        CorollaryReport.from_reports(family.name, reports[k * width : (k + 1) * width])
-        for k in range(len(radii))
-    ]
+            agreement, table, K = members[i]
+            row.append(TheoremReport(i, n, min(agreement, n), table.at(n).value, delta_n, K, table.at(L).value, L))
+        reports += row
+        corollaries.append(CorollaryReport.from_reports(family.name, row))
     return reports, corollaries
 
 

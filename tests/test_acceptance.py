@@ -115,12 +115,13 @@ def test_criterion_5_dehn_tables():
         for i in (3, 4, 5):
             pres = parse_presentation(f"gens: a\nrels: a^{i}")
             oracle = build_oracle(f"abelian:{i}", pres)
+            table = dehn(pres, oracle, 10, Caps(14, 10**6))
             for n in range(11):
-                value = dehn(pres, oracle, n, Caps(14, 10**6))
+                value = table.at(n)
                 assert value.value == n // i
                 assert value.to_json(pres)["exact"] is True
         z2 = parse_presentation("gens: x y\nrels: [x,y]")
-        value = dehn(z2, build_oracle("abelian:0,0", z2), 4, Caps(12, 10**6))
+        value = dehn(z2, build_oracle("abelian:0,0", z2), 4, Caps(12, 10**6)).at(4)
         assert value.value == 1
 
 

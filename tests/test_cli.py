@@ -359,12 +359,12 @@ def test_verify_theorem_matches_golden_input_error(capsys):
 
 
 @pytest.mark.parametrize("args, expected", [
-    # zxz has L = 4, one of the radii: delta_i(L) is the entry delta_i(4)
+    # one Dehn table per group: each member's at max(4, L) = 4, the limit's at 4
     (["--family", "zxz", "--i", "3..6", "--n", "2,4"],
-     {"dehn": 10, "compute_K": 4, "quotient_check": 4, "distance": 4, "member": 4}),
-    # dihedral has L = 2: delta(4), delta(6), delta_6(4), delta_6(6), delta_6(2)
+     {"dehn": 5, "compute_K": 4, "quotient_check": 4, "distance": 4, "member": 4}),
+    # dihedral has L = 2: the member's table and the limit's, both at 6
     (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"],
-     {"dehn": 5, "compute_K": 1, "quotient_check": 1, "distance": 1, "member": 1}),
+     {"dehn": 2, "compute_K": 1, "quotient_check": 1, "distance": 1, "member": 1}),
 ])
 def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monkeypatch):
     # the package attribute markedgroups.dehn is the function, so fetch the module
@@ -386,6 +386,36 @@ def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monk
     code, _, _ = run_cli(["verify-theorem", *args], capsys)
     assert code == 0
     assert counts == expected
+
+
+@pytest.mark.parametrize("group, radii", [
+    (["--family", "dihedral", "--i", "5"], "6,6"),
+    (["--family", "zxz", "--i", "3"], "8,4,8"),
+])
+def test_dehn_computes_one_table_for_all_radii(group, radii, capsys, monkeypatch):
+    cli_module = importlib.import_module("markedgroups.cli")
+    dehn_function = cli_module.dehn
+    tables = []
+
+    def counting_dehn(pres, oracle, n, caps, fan_out=map):
+        tables.append(n)
+        return dehn_function(pres, oracle, n, caps, fan_out)
+
+    monkeypatch.setattr(cli_module, "dehn", counting_dehn)
+    code, out, err = run_cli(["dehn", *group, "--n", radii, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    radii = [int(n) for n in radii.split(",")]
+    assert tables == [max(radii)]
+    # each row is the row its radius prints alone, under the same length cap
+    cap = str(json.loads(out)["caps"]["length_cap"])
+    alone = []
+    for n in radii:
+        code, single, _ = run_cli(["dehn", *group, "--n", str(n), "--length-cap", cap, "--format", "json"], capsys)
+        assert code == 0
+        alone.append(json.loads(single)["rows"][0])
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == radii
+    assert [json.dumps(row, indent=2) for row in rows] == [json.dumps(row, indent=2) for row in alone]
 
 
 GOOD_MANIFEST = {

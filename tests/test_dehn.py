@@ -33,12 +33,12 @@ def fam(name):
 # dehn values
 
 def test_dehn_below_shortest_relation(a3):
-    value = dehn(a3, build_oracle("abelian:3", a3), 2, CAPS)
+    value = dehn(a3, build_oracle("abelian:3", a3), 2, CAPS).at(2)
     assert value.value == 0 and value.witnesses == ()
 
 
 def test_dehn_a3_at_7(a3):
-    value = dehn(a3, build_oracle("abelian:3", a3), 7, CAPS)
+    value = dehn(a3, build_oracle("abelian:3", a3), 7, CAPS).at(7)
     assert value.value == 2
     assert make_word(1, (1,) * 6) in value.witnesses
     # cross-check the witness area against the brute-force oracle
@@ -46,7 +46,7 @@ def test_dehn_a3_at_7(a3):
 
 
 def test_dehn_z2_at_4(z2):
-    value = dehn(z2, build_oracle("abelian:0,0", z2), 4, CAPS)
+    value = dehn(z2, build_oracle("abelian:0,0", z2), 4, CAPS).at(4)
     assert value.value == 1
     assert len(value.witnesses) == 8
     for w in value.witnesses:
@@ -55,30 +55,32 @@ def test_dehn_z2_at_4(z2):
 
 def test_dehn_free_group_is_zero():
     p = parse_presentation("gens: x y\nrels:")
+    table = dehn(p, build_oracle("free", p), 6, CAPS)
     for n in (0, 3, 6):
-        value = dehn(p, build_oracle("free", p), n, CAPS)
-        assert value.value == 0
+        assert table.at(n).value == 0
 
 
 @pytest.mark.parametrize("i", [3, 4, 5])
 def test_dehn_cyclic_floor_formula(i):
     p = parse_presentation(f"gens: a\nrels: a^{i}")
     oracle = build_oracle(f"abelian:{i}", p)
+    table = dehn(p, oracle, 10, CAPS)
     for n in range(0, 11):
-        value = dehn(p, oracle, n, CAPS)
+        value = table.at(n)
         assert value.value == n // i, (i, n)
         assert value.to_json(p)["exact"] is True
 
 
 def test_dehn_monotone_in_n(d3):
     oracle = build_oracle("coset:100", d3)
-    values = [dehn(d3, oracle, n, Caps(12, 10**6)).value for n in range(0, 7)]
+    table = dehn(d3, oracle, 6, Caps(12, 10**6))
+    values = [table.at(n).value for n in range(0, 7)]
     assert values == sorted(values)
 
 
 def test_dehn_witness_validity(d3):
     oracle = build_oracle("coset:100", d3)
-    value = dehn(d3, oracle, 6, Caps(12, 10**6))
+    value = dehn(d3, oracle, 6, Caps(12, 10**6)).at(6)
     from markedgroups.area import area_search
 
     for w in value.witnesses:
@@ -106,7 +108,7 @@ def test_dehn_workers_match_serial(z2):
 
 
 def test_dehn_json_fields(z2):
-    value = dehn(z2, build_oracle("abelian:0,0", z2), 4, CAPS)
+    value = dehn(z2, build_oracle("abelian:0,0", z2), 4, CAPS).at(4)
     data = value.to_json(z2)
     assert list(data) == ["n", "value", "exact", "witnesses"]
     json.dumps(data)
@@ -201,9 +203,9 @@ def test_theorem_tight_ratio_cases():
 def test_dehn_witness_cap(z2, monkeypatch):
     # Z^2 has 16 trivial words of maximal area at n = 8; the table lists the first 8
     oracle, caps = build_oracle("abelian:0,0", z2), Caps(16, 10**6)
-    value = dehn(z2, oracle, 8, caps)
+    value = dehn(z2, oracle, 8, caps).at(8)
     monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "MAX_WITNESSES", 100)
-    every = dehn(z2, oracle, 8, caps)
+    every = dehn(z2, oracle, 8, caps).at(8)
     assert MAX_WITNESSES == 8 and len(every.witnesses) == 16
     assert value == DehnValue(8, every.value, every.witnesses[:8])
 
@@ -284,7 +286,7 @@ def test_worker_pool_starts_processes_at_the_first_search(z2, opened_pools):
         assert fan_out is map
     assert opened_pools == []
     with worker_pool(2) as fan_out:
-        assert dehn(z2, oracle, 3, CAPS, fan_out) == DehnValue(3, 0, ())
+        assert dehn(z2, oracle, 3, CAPS, fan_out).at(3) == DehnValue(3, 0, ())
         assert multiprocessing.active_children() == []
         assert dehn(z2, oracle, 4, CAPS, fan_out) == dehn(z2, oracle, 4, CAPS)
         assert multiprocessing.active_children() != []
@@ -317,3 +319,37 @@ def test_verify_family_reads_each_agreement_off_one_scan():
     reports, _ = verify_family(fam("zxz"), (4,), (2, 4, 6), CAPS)
     assert [r.ball_agreement for r in reports] == [2, 3, 3]
     assert [r.applicable for r in reports] == [True, False, False]
+
+
+def test_verify_family_computes_member_by_member_then_the_limit(monkeypatch):
+    # the order the verify_family docstring states: a first failure is that of the first step to fail
+    dehn_module = importlib.import_module("markedgroups.dehn")
+    calls = []
+
+    def record(name, label):
+        fn = getattr(dehn_module, name)
+
+        def wrapper(*args):
+            calls.append((name, label(*args)))
+            return fn(*args)
+
+        monkeypatch.setattr(dehn_module, name, wrapper)
+
+    record("quotient_check", lambda limit_pres, oracle: oracle.spec)
+    record("distance", lambda pres, oracle, limit_pres, limit_oracle, lam: (pres.name, lam))
+    record("dehn", lambda pres, oracle, n, caps, fan_out: (pres.name, n))
+    record("compute_K", lambda limit_pres, pres, caps: pres.name)
+    # zxz has L = 4; index 4 is repeated and computed once
+    reports, _ = verify_family(fam("zxz"), (4, 3, 4), (3, 2), CAPS)
+    assert calls == [
+        ("quotient_check", "abelian:0,4"),
+        ("distance", ("zxz[4]", 3)),
+        ("dehn", ("zxz[4]", 4)),
+        ("compute_K", "zxz[4]"),
+        ("quotient_check", "abelian:0,3"),
+        ("distance", ("zxz[3]", 3)),
+        ("dehn", ("zxz[3]", 4)),
+        ("compute_K", "zxz[3]"),
+        ("dehn", ("zxz[limit]", 3)),
+    ]
+    assert [(r.n, r.i) for r in reports] == [(3, 4), (3, 3), (3, 4), (2, 4), (2, 3), (2, 4)]

@@ -73,10 +73,18 @@ def test_orbit_reduced_dehn_matches_per_word_reference(name):
     longest = max(len(r) for r in pres.relators)
     cases = [(n, Caps(n + longest // 2, 10**6)) for n in (2, 4, 6)]
     expected = [reference_dehn(pres, oracle, n, caps) for n, caps in cases]
+    # one table under one Caps gives the entry of every smaller radius
+    one_caps = Caps(6 + longest // 2, 10**6)
+    expected_at = [reference_dehn(pres, oracle, n, one_caps) for n in range(7)]
     for workers in (1, 2, 3):
         with worker_pool(workers) as fan_out:
-            got = [dehn(pres, oracle, n, caps, fan_out) for n, caps in cases]
+            got = [dehn(pres, oracle, n, caps, fan_out).at(n) for n, caps in cases]
+            table = dehn(pres, oracle, 6, one_caps, fan_out)
         assert got == expected, (name, workers)
+        assert [table.at(n) for n in range(7)] == expected_at, (name, workers)
+        for n in (-1, 7):
+            with pytest.raises(ValueError):
+                table.at(n)
 
 
 def test_cap_exhaustion_reports_the_same_word():
