@@ -24,17 +24,25 @@ Uniform-cost search with the frontier expanded in length-lex order makes
 results, certificates and statistics reproducible regardless of call
 order or worker count.
 
+Search states are ``str``s with one character per letter, coded as in
+:func:`~markedgroups.words.letters_to_str` (``x`` is ``chr(2x - 1)``,
+``x^-1`` is ``chr(2x)``), so ``(len(s), s)`` is length-lex order, each
+frontier is sorted in C, and there is no ceiling on the number of
+generators.  Words are decoded back to letter tuples only along the
+goal's parent chain, to build the certificate.
+
 A splice changes a word only at its seam, so successors are read off
 tables rather than spliced one by one.  A table row is keyed by the
 room left under ``length_cap`` and the four letters around the position
-(two on each side, 0 past an end of the word).  It lists, in move
+(two on each side, code 0 past an end of the word).  It lists, in move
 order, the letters each move inserts and how many it cancels on each
-side; a move that cannot fit under the cap is left out, and a move whose
+side; a move that cannot fit under the cap is left out.  A move whose
 cancellation reaches the window's edge, or cancels completely, is
-marked to be spliced in full.  The search therefore reaches the same
-states in the same order as splicing every move at every position.
-Rows are filled on first use and live for one call, in dicts, so no
-size depends on ``length_cap``.
+marked, and the search counts its cancellations by index along the
+word instead, joining the two remainders when the whole move cancels.
+The search therefore reaches the same states in the same order as
+splicing every move at every position.  Rows are filled on first use
+and live for one call, in dicts, so no size depends on ``length_cap``.
 """
 
 from __future__ import annotations
@@ -44,7 +52,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .presentations import Presentation, parse_word, symmetrize
-from .words import Word, _splice, free_reduce, invert_letters, letters_key, shell
+from .words import (
+    Word,
+    _splice,
+    free_reduce,
+    invert_letters,
+    letters_to_str,
+    shell,
+    str_to_letters,
+)
 
 __all__ = [
     "Caps",
@@ -156,13 +172,14 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     if node_cap < 1:
         raise ValueError("node_cap must be positive")
     caps = Caps(length_cap, node_cap)
-    target = w.letters
-    if not target:
+    if not w.letters:
         return AreaResult(0, Certificate(()), SearchStats(0, length_cap))
 
     sym = symmetrize(pres)
     moves = [(mv.letters, *sym.origin[mv]) for mv in sym.moves]
-    move_words = [m[0] for m in moves]
+    # each move as a string, and with every letter inverted in place: a
+    # letter cancels a move letter when it equals the inverted one
+    move_strs = [(letters_to_str(m[0]), letters_to_str(tuple(-x for x in m[0]))) for m in moves]
 
     # Breadth-first over splices; unit costs, so the first time the
     # identity is generated its depth is minimal.  Each visited state
@@ -170,8 +187,9 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     # node_cap bounds the number of distinct states reached, so it also
     # bounds the memory of the parents map.  tables[room][window] holds
     # the _window_row of a seam window (see the module docstring).
-    tables: dict[int, dict[tuple[int, ...], list]] = {}
-    parents: dict = {target: None}
+    tables: dict[int, dict[str, list]] = {}
+    target = letters_to_str(w.letters)
+    parents: dict[str, tuple[str, int, int] | None] = {target: None}
     frontier = [target]
     explored = 1
     goal_entry = None
@@ -180,15 +198,15 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
         for state in frontier:
             room = length_cap - len(state)
             table = tables.setdefault(room, {})
-            padded = (0, 0) + state + (0, 0)
+            padded = "\0\0" + state + "\0\0"
             for pos in range(len(state) + 1):
                 window = padded[pos:pos + 4]
                 row = table.get(window)
                 if row is None:
-                    row = table[window] = _window_row(move_words, window, room)
+                    row = table[window] = _window_row(move_strs, window, room)
                 for mi, k1, k2, mid in row:
                     if mid is None:
-                        nxt = _splice(state[:pos], move_words[mi], state[pos:])
+                        nxt = _seam_splice(state, pos, *move_strs[mi])
                         if len(nxt) > length_cap:
                             continue
                     else:
@@ -209,7 +227,9 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
                     break
             if goal_entry is not None:
                 break
-        next_frontier.sort(key=letters_key)
+        # length-lex: the stable sort by length keeps the code order within a length
+        next_frontier.sort()
+        next_frontier.sort(key=len)
         frontier = next_frontier
 
     stats = SearchStats(explored, length_cap)
@@ -218,8 +238,8 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
 
     # Walk parents from the identity back to the word; reversing gives
     # the splice steps in application order.
-    steps: list[tuple[tuple[int, ...], int, int]] = []
-    node: tuple[int, ...] = ()
+    steps: list[tuple[str, int, int]] = []
+    node = ""
     while parents[node] is not None:
         par, mi, pos = parents[node]
         steps.append((par, mi, pos))
@@ -233,7 +253,7 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
         rho = rel if sign == 1 else invert_letters(rel)
         # Splicing rot_t(rho) at position p of v inserts the factor
         # (v[:p] * rho[:t]^-1) rho^-1 (...)^-1 into the derivation.
-        conj = free_reduce(before[:pos] + invert_letters(rho[:rot]))
+        conj = free_reduce(str_to_letters(before[:pos]) + invert_letters(rho[:rot]))
         factors.append((Word(pres.ngens, conj), rel_idx, -sign))
     cert = Certificate(tuple(factors))
     if not verify_certificate(pres, w, cert):
@@ -242,36 +262,65 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
 
 
 def _window_row(
-    moves: list[tuple[int, ...]], window: tuple[int, ...], room: int
-) -> list[tuple[int, int, int, tuple[int, ...] | None]]:
+    moves: list[tuple[str, str]], window: str, room: int
+) -> list[tuple[int, int, int, str | None]]:
     """Successors of one splice position, read off its seam window.
 
-    ``window`` holds the two letters on each side of the position, 0
-    past an end of the word; ``room`` is how many letters the word may
+    ``moves`` pairs each move string with its letters inverted in place.
+    ``window`` holds the two letters on each side of the position, code
+    0 past an end of the word; ``room`` is how many letters the word may
     still grow.  Entries ``(mi, k1, k2, mid)`` follow move order: move
     ``mi`` cancels ``k1`` letters on the left and ``k2`` on the right, so
     the successor is ``state[:pos-k1] + mid + state[pos+k2:]``.  Where
     the window cannot tell the result (a cancellation reaches its edge,
     or the whole move cancels and the seams meet), ``mid`` is None and
-    the caller splices and tests the cap itself.  Moves whose known
-    result is longer than ``room`` allows are left out.
+    the caller splices with :func:`_seam_splice` and tests the cap
+    itself.  Moves whose known result is longer than ``room`` allows are
+    left out.
     """
-    left = (window[1], window[0])
+    left = window[1] + window[0]
     right = window[2:]
     row = []
-    for mi, mv in enumerate(moves):
+    for mi, (mv, inv) in enumerate(moves):
         n = len(mv)
         k1 = 0
-        while k1 < 2 and k1 < n and mv[k1] == -left[k1]:
+        while k1 < 2 and k1 < n and inv[k1] == left[k1]:
             k1 += 1
         k2 = 0
-        while k2 < 2 and k1 + k2 < n and mv[n - 1 - k2] == -right[k2]:
+        while k2 < 2 and k1 + k2 < n and inv[n - 1 - k2] == right[k2]:
             k2 += 1
         if k1 == 2 or k2 == 2 or k1 + k2 == n:
             row.append((mi, 0, 0, None))
         elif n - 2 * (k1 + k2) <= room:
             row.append((mi, k1, k2, mv[k1:n - k2]))
     return row
+
+
+def _seam_splice(state: str, pos: int, move: str, inv: str) -> str:
+    """``move`` spliced into ``state`` at ``pos`` and freely reduced.
+
+    ``inv`` is ``move`` with its letters inverted in place.  Both words
+    are reduced, so only the seams cancel: the move's head against the
+    letters before ``pos``, then its tail against those after.  When the
+    whole move cancels, the two remainders meet and cancel in turn.
+    """
+    n = len(move)
+    i = 0
+    while i < n and i < pos and state[pos - 1 - i] == inv[i]:
+        i += 1
+    end = len(state)
+    j = 0
+    while i + j < n and pos + j < end and state[pos + j] == inv[n - 1 - j]:
+        j += 1
+    a = pos - i
+    b = pos + j
+    if i + j < n:
+        return state[:a] + move[i:n - j] + state[b:]
+    # codes 2g - 1 and 2g are inverse letters
+    while a and b < end and (ord(state[a - 1]) - 1) ^ 1 == ord(state[b]) - 1:
+        a -= 1
+        b += 1
+    return state[:a] + state[b:]
 
 
 def expand_certificate(pres: Presentation, cert: Certificate) -> Word:

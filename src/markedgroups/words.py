@@ -86,6 +86,21 @@ def letters_key(letters: tuple[int, ...]) -> tuple:
     return (len(letters), tuple([2 * x - 1 if x > 0 else -2 * x for x in letters]))
 
 
+def letters_to_str(letters: tuple[int, ...]) -> str:
+    """One character per letter, coded by the integer of :func:`letters_key`.
+
+    ``x`` becomes ``chr(2*x - 1)`` and ``x^-1`` becomes ``chr(2*x)``, so
+    ``(len(s), s)`` sorts length-lex and no code is 0, which is left free
+    to mark a position past either end of a word.
+    """
+    return "".join([chr(2 * x - 1 if x > 0 else -2 * x) for x in letters])
+
+
+def str_to_letters(s: str) -> tuple[int, ...]:
+    """Inverse of :func:`letters_to_str`."""
+    return tuple([(c + 1) // 2 if c & 1 else -(c // 2) for c in map(ord, s)])
+
+
 def _check_letters(ngens: int, letters: Iterable[int]) -> None:
     for x in letters:
         if not isinstance(x, int) or x == 0 or abs(x) > ngens:

@@ -20,13 +20,22 @@ from markedgroups.area import (
     Caps,
     Certificate,
     SearchStats,
+    _seam_splice,
     _window_row,
     area_search,
     verify_certificate,
 )
 from markedgroups.families import get_family
 from markedgroups.presentations import parse_presentation, parse_word, symmetrize
-from markedgroups.words import Word, _splice, free_reduce, invert_letters, letters_key
+from markedgroups.words import (
+    Word,
+    _splice,
+    free_reduce,
+    invert_letters,
+    letters_key,
+    letters_to_str,
+    str_to_letters,
+)
 
 A3_PRES = (Path(__file__).parent / "data" / "a3.pres").read_text(encoding="utf-8")
 
@@ -166,25 +175,86 @@ def test_tables_match_reference_on_larger_searches(text, word, length_cap):
         assert _outcome(area_search, pres, w, length_cap, node_cap) == expected
 
 
+def _move_strs(pres):
+    """Each move as a string, paired with its letters inverted in place."""
+    moves = [mv.letters for mv in symmetrize(pres).moves]
+    return moves, [(letters_to_str(mv), letters_to_str(tuple(-x for x in mv))) for mv in moves]
+
+
 def test_window_rows_agree_with_splice():
     # every entry a row keeps gives the spliced word; every move it drops
     # splices to a word longer than the room allows
     pres = parse_presentation(GROUPS["dihedral5"])
-    moves = [mv.letters for mv in symmetrize(pres).moves]
+    moves, move_strs = _move_strs(pres)
     for state in [(), (1,), (2, 1), (1, 2, 1, 2), (2, 1, 2, 1, 2), (-1, 2, 2, -1)]:
-        padded = (0, 0) + state + (0, 0)
+        code = letters_to_str(state)
+        padded = "\0\0" + code + "\0\0"
         for room in range(0, 12):
             for pos in range(len(state) + 1):
-                row = _window_row(moves, padded[pos:pos + 4], room)
+                row = _window_row(move_strs, padded[pos:pos + 4], room)
                 kept = {mi for mi, *_ in row}
                 for mi, k1, k2, mid in row:
-                    if mid is not None:
-                        spliced = _splice(state[:pos], moves[mi], state[pos:])
-                        assert state[:pos - k1] + mid + state[pos + k2:] == spliced
+                    spliced = _splice(state[:pos], moves[mi], state[pos:])
+                    if mid is None:
+                        assert str_to_letters(_seam_splice(code, pos, *move_strs[mi])) == spliced
+                    else:
+                        assert str_to_letters(code[:pos - k1] + mid + code[pos + k2:]) == spliced
                         assert len(spliced) <= len(state) + room
                 for mi, mv in enumerate(moves):
                     if mi not in kept:
                         assert len(_splice(state[:pos], mv, state[pos:])) > len(state) + room
+
+
+SPLICE_GROUPS = ("z2", "dihedral5", "bs12", "a3")
+
+
+@st.composite
+def seam_cases(draw):
+    """A reduced word built around an inverted rotated move, and a group.
+
+    ``C D rot(m)^-1 D^-1 E`` makes the rotated move cancel completely at
+    one position, after which ``D`` and ``D^-1`` cancel in turn.
+    """
+    pres = parse_presentation(GROUPS[draw(st.sampled_from(SPLICE_GROUPS))])
+    moves = [mv.letters for mv in symmetrize(pres).moves]
+    letter = st.sampled_from([s * g for g in range(1, pres.ngens + 1) for s in (1, -1)])
+    piece = st.lists(letter, max_size=4).map(free_reduce)
+    mv = draw(st.sampled_from(moves))
+    t = draw(st.integers(0, len(mv) - 1))
+    c, d, e = draw(piece), draw(piece), draw(piece)
+    return pres, free_reduce(c + d + invert_letters(mv[t:] + mv[:t]) + invert_letters(d) + e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seam_cases())
+def test_seam_splice_matches_splice_at_every_position(case):
+    pres, state = case
+    moves, move_strs = _move_strs(pres)
+    code = letters_to_str(state)
+    for pos in range(len(state) + 1):
+        for mv, pair in zip(moves, move_strs):
+            assert str_to_letters(_seam_splice(code, pos, *pair)) == _splice(state[:pos], mv, state[pos:])
+
+
+def test_seam_splice_joins_the_remainders_of_a_cancelled_move():
+    # [x,y] spliced at 1 into x (y x y^-1 x^-1) x^-1 cancels the whole
+    # move on the right, then the outer x and x^-1 meet and cancel
+    pres = parse_presentation(GROUPS["z2"])
+    moves, move_strs = _move_strs(pres)
+    state = (1, 2, 1, -2, -1, -1)
+    mi = moves.index((1, 2, -1, -2))
+    assert _splice(state[:1], moves[mi], state[1:]) == ()
+    assert _seam_splice(letters_to_str(state), 1, *move_strs[mi]) == ""
+
+
+def test_search_on_two_hundred_generators():
+    # codes of g199 and g200 are 397..400, past one byte
+    names = [f"g{i}" for i in range(1, 201)]
+    pres = parse_presentation(f"gens: {' '.join(names)}\nrels: [g199,g200]; g200^3")
+    w = parse_word("[g199^2,g200] g200^-3", pres.gen_names)
+    result = area_search(pres, w, len(w) + 4, 10**5)
+    assert result == reference_area_search(pres, w, len(w) + 4, 10**5)
+    assert result.value == 3
 
 
 def test_huge_length_cap_allocates_nothing_by_cap(z2):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markedgroups.words import (
@@ -14,9 +14,11 @@ from markedgroups.words import (
     free_reduce,
     letter_key,
     letters_key,
+    letters_to_str,
     make_word,
     shell,
     signed_letters,
+    str_to_letters,
     word_to_str,
 )
 
@@ -190,3 +192,24 @@ def test_splice_equals_free_reduction(a, b, c):
 def test_letters_key_orders_as_letter_pairs(words):
     # one integer per letter sorts exactly as the (index, sign) pairs
     assert sorted(words, key=letters_key) == sorted(words, key=lambda w: (len(w), tuple(map(letter_key, w))))
+
+
+# 200 generators: the codes run up to 400, past any one-byte encoding
+wide_words = st.lists(
+    st.lists(st.integers(1, 200).flatmap(lambda g: st.sampled_from([g, -g])), max_size=8).map(free_reduce),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_words)
+@example([(200, -199), (-200,), (1, 200)])
+def test_string_codes_are_a_bijection_in_length_lex_order(words):
+    for w in words:
+        assert str_to_letters(letters_to_str(w)) == w
+        assert len(letters_to_str(w)) == len(w)
+    # the two sorts area_search gives each frontier
+    codes = [letters_to_str(w) for w in words]
+    codes.sort()
+    codes.sort(key=len)
+    assert [str_to_letters(c) for c in codes] == sorted(words, key=letters_key)
