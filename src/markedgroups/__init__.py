@@ -49,7 +49,6 @@ from .oracles import (
 from .presentations import (
     Presentation,
     PresentationSyntaxError,
-    SymmetrizedRelators,
     max_relator_length,
     parse_presentation,
     parse_word,

@@ -175,11 +175,10 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     if not w.letters:
         return AreaResult(0, Certificate(()), SearchStats(0, length_cap))
 
-    sym = symmetrize(pres)
-    moves = [(mv.letters, *sym.origin[mv]) for mv in sym.moves]
+    moves = symmetrize(pres)
     # each move as a string, and with every letter inverted in place: a
     # letter cancels a move letter when it equals the inverted one
-    move_strs = [(letters_to_str(m[0]), letters_to_str(tuple(-x for x in m[0]))) for m in moves]
+    move_strs = [(letters_to_str(mv), letters_to_str(tuple(-x for x in mv))) for mv, *_ in moves]
 
     # Breadth-first over splices; unit costs, so the first time the
     # identity is generated its depth is minimal.  Each visited state

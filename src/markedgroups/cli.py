@@ -43,21 +43,21 @@ EXIT_VERDICT_FAILED = 5
 EXIT_WORKER_DIED = 6
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 _OPTIONS = {
     "--length-cap": dict(type=int, default=None, help="max intermediate word length in area searches"),
-    "--node-cap": dict(type=int, default=1_000_000, help="max states explored per area search"),
+    "--node-cap": dict(type=_positive_int, default=1_000_000, help="max states explored per area search"),
     "--lambda-max": dict(type=int, default=10, help="largest radius scanned for ball agreement"),
-    "--workers": dict(type=_worker_count, default=1, help="parallel workers for per-word area searches"),
+    "--workers": dict(type=_positive_int, default=1, help="parallel workers for per-word area searches"),
 }
 
 
@@ -167,8 +167,20 @@ def _load_presentation_file(path: str) -> Presentation:
         return parse_presentation(handle.read(), name=path)
 
 
+def _check_family_flags(args, others: dict[str, str | None]) -> None:
+    """Reject --i without --family, and any option of ``others`` (flag to value) next to it."""
+    if not args.family:
+        if args.i is not None:
+            raise ValueError("--i requires --family")
+        return
+    given = [flag for flag, value in others.items() if value is not None]
+    if given:
+        raise ValueError(f"{'/'.join(given)} cannot be combined with --family")
+
+
 def _resolve_group(args) -> tuple[Presentation, object, str]:
     """Presentation plus oracle from either -p/--oracle or --family/--i."""
+    _check_family_flags(args, {"-p": args.presentation, "--oracle": args.oracle})
     if args.family:
         family, i = _family_member(args)
         pres, oracle = family.member(i)
@@ -302,6 +314,9 @@ def cmd_rel_ball(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    _check_family_flags(
+        args, {"--p1": args.p1, "--oracle1": args.oracle1, "--p2": args.p2, "--oracle2": args.oracle2}
+    )
     if args.family:
         family, i = _family_member(args)
         pres1, oracle1 = family.member(i)

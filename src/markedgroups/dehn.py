@@ -41,7 +41,7 @@ from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle
 from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance, trivial_letters
-from .words import Word, invert_letters, letter_key, letters_key, signed_letters
+from .words import Word, letters_key, letters_to_str, signed_letters, str_to_letters
 
 __all__ = [
     "DehnValue",
@@ -127,22 +127,24 @@ def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tupl
 
     A representative is the length-lex least image of a word or of its
     inverse under the splice symmetries; representatives are listed in
-    first-seen order.  Each symmetry becomes a table from a letter to the
-    :func:`letter_key` of its image, so images of one word compare in
-    length-lex order as plain tuples.
+    first-seen order.  Words are compared as their
+    :func:`~markedgroups.words.letters_to_str` codes, which all have the
+    word's length, so the least code is the length-lex least word.  Each
+    symmetry is a ``str.translate`` table on codes, and so is letter
+    inversion, applied to the reversed code.
     """
     letters = signed_letters(pres.ngens)
-    key_maps = [
-        dict(zip(letters, map(letter_key, apply_symmetry(sym, letters))))
-        for sym in splice_symmetries(pres)
-    ]
-    orbit_index: dict[tuple, int] = {}
+    codes = letters_to_str(letters)
+    invert = str.maketrans(codes, letters_to_str(tuple(-x for x in letters)))
+    tables = [str.maketrans(codes, letters_to_str(apply_symmetry(sym, letters))) for sym in splice_symmetries(pres)]
+    orbit_index: dict[str, int] = {}
     word_orbit = []
     for w in words:
-        inverse = invert_letters(w)
-        key = min(tuple(map(keys.__getitem__, v)) for keys in key_maps for v in (w, inverse))
+        code = letters_to_str(w)
+        inverse = code[::-1].translate(invert)
+        key = min(v.translate(table) for table in tables for v in (code, inverse))
         word_orbit.append(orbit_index.setdefault(key, len(orbit_index)))
-    return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
+    return list(map(str_to_letters, orbit_index)), word_orbit
 
 
 @contextmanager

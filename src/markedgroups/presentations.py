@@ -36,7 +36,6 @@ from .words import (
 __all__ = [
     "Presentation",
     "PresentationSyntaxError",
-    "SymmetrizedRelators",
     "parse_presentation",
     "parse_word",
     "max_relator_length",
@@ -303,32 +302,22 @@ def max_relator_length(pres: Presentation) -> int | None:
     return max(len(r) for r in pres.relators)
 
 
-class SymmetrizedRelators:
-    """Closure of the relator set under inversion and rotation.
+def symmetrize(pres: Presentation) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """Closure of the relator set under inversion and rotation, as splice moves.
 
-    ``moves`` is sorted length-lex; ``origin`` maps every move back to
-    (relator index, sign, rotation offset), choosing the first origin in
-    (index, sign=+1 first, rotation) order when several coincide.
+    Each move is ``(letters, relator index, sign, rotation)``: the letters
+    are ``rho[rotation:] + rho[:rotation]`` with ``rho`` the relator, or
+    its inverse when the sign is -1.  Moves are unique by letters, sorted
+    by :func:`~markedgroups.words.letters_key`, and keep the first origin
+    in (index, sign=+1 first, rotation) order when several coincide.
     """
-
-    __slots__ = ("moves", "origin")
-
-    def __init__(self, moves: tuple[Word, ...], origin: dict[Word, tuple[int, int, int]]):
-        self.moves = moves
-        self.origin = origin
-
-
-def symmetrize(pres: Presentation) -> SymmetrizedRelators:
-    origin: dict[Word, tuple[int, int, int]] = {}
+    origin: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for idx, rel in enumerate(pres.relators):
         for sign in (1, -1):
             rho = rel.letters if sign == 1 else invert_letters(rel.letters)
             for t in range(len(rho)):
-                move = Word(pres.ngens, rho[t:] + rho[:t])
-                if move not in origin:
-                    origin[move] = (idx, sign, t)
-    moves = tuple(sorted(origin, key=lambda w: letters_key(w.letters)))
-    return SymmetrizedRelators(moves, origin)
+                origin.setdefault(rho[t:] + rho[:t], (idx, sign, t))
+    return tuple((mv, *origin[mv]) for mv in sorted(origin, key=letters_key))
 
 
 # Bounds the maps tried per word in a Dehn sweep; all 384 signed permutations
@@ -348,7 +337,7 @@ def splice_symmetries(pres: Presentation) -> tuple[tuple[int, ...], ...]:
     reachable when few relators constrain many generators); callers that
     take the least image under the maps found still stay in the orbit.
     """
-    moves = {mv.letters for mv in symmetrize(pres).moves}
+    moves = {mv for mv, *_ in symmetrize(pres)}
     k = pres.ngens
     # Moves are checked once their largest generator index is assigned.
     checks: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]

@@ -6,9 +6,11 @@ its input, so a :class:`Word` is always freely reduced and two words are
 equal iff their letter tuples are equal.
 
 All enumeration and tie-breaking uses a single total order on letters,
-(generator index, sign): ``g1 < g1^-1 < g2 < g2^-1 < ...``.  Words are
-ordered by length first, then lexicographically in that letter order
-("length-lex").  This makes every stream and every report reproducible.
+``g1 < g1^-1 < g2 < g2^-1 < ...``.  It is written down once, as the code
+of :func:`letters_to_str`: one character per letter, ``chr(2j - 1)`` for
+``gj`` and ``chr(2j)`` for ``gj^-1``.  Words are ordered by length first,
+then by their codes ("length-lex", :func:`letters_key`).  This makes
+every stream and every report reproducible.
 """
 
 from __future__ import annotations
@@ -72,22 +74,13 @@ def signed_letters(ngens: int) -> tuple[int, ...]:
     return tuple(x for g in range(1, ngens + 1) for x in (g, -g))
 
 
-def letter_key(x: int) -> tuple[int, int]:
-    """Sort key realising the documented letter order (index, then sign)."""
-    return (x, 0) if x > 0 else (-x, 1)
-
-
-def letters_key(letters: tuple[int, ...]) -> tuple:
-    """Length-lex sort key for a raw letter tuple.
-
-    Each letter becomes the one integer ``2*abs(x) - (x > 0)``, which
-    orders letters as :func:`letter_key` does.
-    """
-    return (len(letters), tuple([2 * x - 1 if x > 0 else -2 * x for x in letters]))
+def letters_key(letters: tuple[int, ...]) -> tuple[int, str]:
+    """Length-lex sort key for a raw letter tuple: its length, then its code."""
+    return (len(letters), letters_to_str(letters))
 
 
 def letters_to_str(letters: tuple[int, ...]) -> str:
-    """One character per letter, coded by the integer of :func:`letters_key`.
+    """The one letter code: one character per letter, in the letter order.
 
     ``x`` becomes ``chr(2*x - 1)`` and ``x^-1`` becomes ``chr(2*x)``, so
     ``(len(s), s)`` sorts length-lex and no code is 0, which is left free

@@ -186,13 +186,12 @@ def test_splice_matches_conjugate_factor_algebra(d3, z2):
 
     rng = random.Random(17)
     for pres in (d3, z2):
-        sym = symmetrize(pres)
+        moves = symmetrize(pres)
         for _ in range(60):
             v = rand_word(rng, pres.ngens, 8)
-            move = sym.moves[rng.randrange(len(sym.moves))]
-            idx, sign, rot = sym.origin[move]
+            move, idx, sign, rot = moves[rng.randrange(len(moves))]
             pos = rng.randint(0, len(v))
-            spliced = Word(pres.ngens, _splice(v.letters[:pos], move.letters, v.letters[pos:]))
+            spliced = Word(pres.ngens, _splice(v.letters[:pos], move, v.letters[pos:]))
             rho = pres.relators[idx].letters if sign == 1 else invert_letters(pres.relators[idx].letters)
             conj = Word(pres.ngens, free_reduce(v.letters[:pos] + invert_letters(rho[:rot])))
             factor = conj * Word(pres.ngens, rho) * conj.inverse()

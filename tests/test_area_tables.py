@@ -55,8 +55,7 @@ def reference_area_search(pres, w, length_cap, node_cap):
     if not target:
         return AreaResult(0, Certificate(()), SearchStats(0, length_cap))
 
-    sym = symmetrize(pres)
-    moves = [(mv.letters, *sym.origin[mv]) for mv in sym.moves]
+    moves = symmetrize(pres)
     move_words = [m[0] for m in moves]
 
     parents: dict = {target: None}
@@ -177,7 +176,7 @@ def test_tables_match_reference_on_larger_searches(text, word, length_cap):
 
 def _move_strs(pres):
     """Each move as a string, paired with its letters inverted in place."""
-    moves = [mv.letters for mv in symmetrize(pres).moves]
+    moves = [mv for mv, *_ in symmetrize(pres)]
     return moves, [(letters_to_str(mv), letters_to_str(tuple(-x for x in mv))) for mv in moves]
 
 
@@ -216,7 +215,7 @@ def seam_cases(draw):
     one position, after which ``D`` and ``D^-1`` cancel in turn.
     """
     pres = parse_presentation(GROUPS[draw(st.sampled_from(SPLICE_GROUPS))])
-    moves = [mv.letters for mv in symmetrize(pres).moves]
+    moves = [mv for mv, *_ in symmetrize(pres)]
     letter = st.sampled_from([s * g for g in range(1, pres.ngens + 1) for s in (1, -1)])
     piece = st.lists(letter, max_size=4).map(free_reduce)
     mv = draw(st.sampled_from(moves))

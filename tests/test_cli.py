@@ -446,14 +446,21 @@ def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsy
     assert run_cli(["converge", "--family", str(path), "--i", "3"], capsys)[0] == 0
 
 
-@pytest.mark.parametrize("workers", ["-3", "0"])
-def test_workers_below_one_is_an_input_error(workers, capsys):
+@pytest.mark.parametrize("value, flag, command", [
+    ("-3", "--workers", ["dehn", "--family", "zxz", "--i", "3", "--n", "2"]),
+    ("0", "--workers", ["dehn", "--family", "zxz", "--i", "3", "--n", "2"]),
+    ("0", "--node-cap", ["area", "-p", str(AREA_GOLDEN / "z2.pres"), "-w", "[x,y]"]),
+    # no word of Z^2 up to length 2 is trivial, so no search would reject it
+    ("0", "--node-cap", ["dehn", "-p", str(AREA_GOLDEN / "z2.pres"), "--oracle", "abelian:0,0", "--n", "2"]),
+    ("0", "--node-cap", ["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2"]),
+], ids=["-3", "0", "node-cap-area", "node-cap-dehn", "node-cap-verify-theorem"])
+def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(["dehn", "--family", "zxz", "--i", "3", "--n", "2", "--workers", workers], capsys)
+        run_cli([*command, flag, value], capsys)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"--workers: must be at least 1, got {workers}" in captured.err
+    assert f"{flag}: must be at least 1, got {value}" in captured.err
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -617,8 +624,20 @@ def test_dead_worker_is_exit_6(command, monkeypatch, capsys):
     (["dehn", "--family", "zxz", "--i", "3", "--n", "2,-1"], "--n '2,-1': radii must be nonnegative"),
     (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "-1"], "--n '-1': radii must be nonnegative"),
     (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2,-1"], "--n '2,-1': radii must be nonnegative"),
+    (["dehn", "--family", "zxz", "--i", "3", "-p", str(AREA_GOLDEN / "z2.pres"), "--n", "2"],
+     "-p cannot be combined with --family"),
+    (["rel-ball", "--family", "zxz", "--i", "3", "--oracle", "abelian:0,3", "--radius", "2"],
+     "--oracle cannot be combined with --family"),
+    (["dehn", "-p", str(AREA_GOLDEN / "z2.pres"), "--oracle", "abelian:0,0", "--i", "3", "--n", "2"],
+     "--i requires --family"),
+    (["dist", "--family", "zxz", "--i", "3", "--p1", str(AREA_GOLDEN / "z2.pres"), "--oracle2", "abelian:0,0"],
+     "--p1/--oracle2 cannot be combined with --family"),
+    (["dist", "--p1", str(AREA_GOLDEN / "z2.pres"), "--oracle1", "abelian:0,0",
+      "--p2", str(AREA_GOLDEN / "z2.pres"), "--oracle2", "abelian:0,0", "--i", "3"],
+     "--i requires --family"),
 ], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n", "dehn-n-negative", "dehn-n-mixed",
-        "verify-theorem-n-negative", "verify-theorem-n-mixed"])
+        "verify-theorem-n-negative", "verify-theorem-n-mixed", "dehn-family-and-p", "rel-ball-family-and-oracle",
+        "dehn-i-without-family", "dist-family-and-files", "dist-i-without-family"])
 def test_index_and_radius_parse_errors_name_the_option(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 

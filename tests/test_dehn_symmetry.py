@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from markedgroups.area import AreaNotFound, Caps, area_search
-from markedgroups.dehn import DehnComputationError, DehnValue, dehn, worker_pool
+from markedgroups.dehn import DehnComputationError, DehnValue, _orbits, dehn, worker_pool
 from markedgroups.families import get_family
 from markedgroups.oracles import build_oracle
 from markedgroups.presentations import (
@@ -24,7 +24,7 @@ from markedgroups.presentations import (
     splice_symmetries,
     symmetrize,
 )
-from markedgroups.words import Word, free_reduce, invert_letters, shell
+from markedgroups.words import Word, free_reduce, invert_letters, letters_key, shell, signed_letters
 
 A3_PRES = (Path(__file__).parent / "data" / "a3.pres").read_text(encoding="utf-8")
 
@@ -120,7 +120,7 @@ def test_one_search_per_orbit(monkeypatch):
 
 
 def _moves(pres):
-    return {mv.letters for mv in symmetrize(pres).moves}
+    return {mv for mv, *_ in symmetrize(pres)}
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -172,22 +172,30 @@ HYPOTHESIS_GROUPS = ["z2", "zxz3", "dihedral3", "dihedral4", "a3", "z3"]
 MAX_WORD = 8
 
 
-@st.composite
-def trivial_words(draw):
-    """A group and a nonempty trivial word: a product of conjugated relators."""
-    name = draw(st.sampled_from(HYPOTHESIS_GROUPS))
-    pres, _ = _group(name)
-    letter = st.sampled_from([s * g for g in range(1, pres.ngens + 1) for s in (1, -1)])
-    factors = draw(st.lists(
-        st.tuples(st.lists(letter, max_size=2), st.sampled_from(pres.relators), st.booleans()),
-        min_size=1, max_size=3,
-    ))
+def _conjugate_product(factors):
     letters = ()
     for conj, rel, inverted in factors:
         u = free_reduce(conj)
         body = invert_letters(rel.letters) if inverted else rel.letters
         letters = free_reduce(letters + u + body + invert_letters(u))
-    return name, pres, letters
+    return letters
+
+
+def conjugate_products(pres):
+    """Trivial words of ``pres``: products of one to three conjugated relators."""
+    letter = st.sampled_from(signed_letters(pres.ngens))
+    return st.lists(
+        st.tuples(st.lists(letter, max_size=2), st.sampled_from(pres.relators), st.booleans()),
+        min_size=1, max_size=3,
+    ).map(_conjugate_product)
+
+
+@st.composite
+def trivial_words(draw):
+    """A group and a trivial word: a product of conjugated relators."""
+    name = draw(st.sampled_from(HYPOTHESIS_GROUPS))
+    pres, _ = _group(name)
+    return name, pres, draw(conjugate_products(pres))
 
 
 def _area(pres, letters, caps):
@@ -208,3 +216,62 @@ def test_orbit_members_have_equal_area(case):
     assert _area(pres, invert_letters(letters), caps) == value, name
     for sym in splice_symmetries(pres):
         assert _area(pres, apply_symmetry(sym, letters), caps) == value, (name, sym)
+
+
+# Property: the code-string orbit keys of dehn._orbits give the orbits of
+# the tuple keys they replaced.
+
+def letter_key(x):
+    """Reference letter order as (generator index, sign) pairs."""
+    return (x, 0) if x > 0 else (-x, 1)
+
+
+def reference_orbits(pres, words):
+    """Orbits keyed by tuples of (index, sign) pairs, one per image letter."""
+    letters = signed_letters(pres.ngens)
+    key_maps = [
+        dict(zip(letters, map(letter_key, apply_symmetry(sym, letters))))
+        for sym in splice_symmetries(pres)
+    ]
+    orbit_index = {}
+    word_orbit = []
+    for w in words:
+        inverse = invert_letters(w)
+        key = min(tuple(map(keys.__getitem__, v)) for keys in key_maps for v in (w, inverse))
+        word_orbit.append(orbit_index.setdefault(key, len(orbit_index)))
+    return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
+
+
+ORBIT_GROUPS = ["z2", "z3", "zxz3", "dihedral5", "a3", "bs12"]
+
+
+def _pres(name):
+    if name == "bs12":
+        return parse_presentation("gens: a b\nrels: b a b^-1 a^-2")
+    return _group(name)[0]
+
+
+@st.composite
+def trivial_word_lists(draw):
+    """A group and a shuffled list of trivial words, each next to an image under a symmetry."""
+    name = draw(st.sampled_from(ORBIT_GROUPS))
+    pres = _pres(name)
+    symmetries = splice_symmetries(pres)
+    words = []
+    for letters in draw(st.lists(conjugate_products(pres), max_size=12)):
+        image = apply_symmetry(draw(st.sampled_from(symmetries)), letters)
+        words += [letters, invert_letters(image) if draw(st.booleans()) else image]
+    return name, pres, draw(st.permutations(words))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trivial_word_lists())
+def test_code_orbit_keys_match_tuple_keys(case):
+    name, pres, words = case
+    assert _orbits(pres, words) == reference_orbits(pres, words), name
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_symmetrize_lists_unique_moves_in_length_lex_order(name):
+    moves = [mv for mv, *_ in symmetrize(_pres(name))]
+    assert moves == sorted(set(moves), key=letters_key)

@@ -106,8 +106,8 @@ def test_word_grammar_rejects_unknowns():
 
 def test_symmetrize_single_power():
     p = parse_presentation("gens: a\nrels: a^3")
-    sym = symmetrize(p)
-    assert {w.letters for w in sym.moves} == {(1, 1, 1), (-1, -1, -1)}
+    moves = symmetrize(p)
+    assert {mv for mv, *_ in moves} == {(1, 1, 1), (-1, -1, -1)}
 
 
 def test_symmetrize_commutator_has_eight_moves(z2):
@@ -117,30 +117,29 @@ def test_symmetrize_commutator_has_eight_moves(z2):
     for base in (comm, invert_letters(comm)):
         for t in range(4):
             expected.add(base[t:] + base[:t])
-    sym = symmetrize(z2)
-    assert {w.letters for w in sym.moves} == expected
-    assert len(sym.moves) == 8
+    moves = symmetrize(z2)
+    assert {mv for mv, *_ in moves} == expected
+    assert len(moves) == 8
 
 
 def test_symmetrize_involution():
     p = parse_presentation("gens: a b\nrels: a^2")
-    sym = symmetrize(p)
-    assert {w.letters for w in sym.moves} == {(1, 1), (-1, -1)}
+    moves = symmetrize(p)
+    assert {mv for mv, *_ in moves} == {(1, 1), (-1, -1)}
 
 
 def test_symmetrize_closure_and_origin(d3):
     sym = symmetrize(d3)
-    moves = {w.letters for w in sym.moves}
+    moves = {mv for mv, *_ in sym}
     for mv in moves:
         assert invert_letters(mv) in moves
         for t in range(len(mv)):
             assert mv[t:] + mv[:t] in moves
-    assert len(sym.moves) <= sum(2 * len(r) for r in d3.relators)
-    for move in sym.moves:
-        idx, sign, rot = sym.origin[move]
+    assert len(sym) <= sum(2 * len(r) for r in d3.relators)
+    for move, idx, sign, rot in sym:
         rho = d3.relators[idx].letters
         rho = rho if sign == 1 else invert_letters(rho)
-        assert rho[rot:] + rho[:rot] == move.letters
+        assert rho[rot:] + rho[:rot] == move
 
 
 def test_presentation_constructor_validation():

@@ -12,7 +12,6 @@ from markedgroups.words import (
     cyclic_permutations,
     enumerate_ball,
     free_reduce,
-    letter_key,
     letters_key,
     letters_to_str,
     make_word,
@@ -21,6 +20,11 @@ from markedgroups.words import (
     str_to_letters,
     word_to_str,
 )
+
+
+def letter_key(x):
+    """Reference letter order as (generator index, sign) pairs."""
+    return (x, 0) if x > 0 else (-x, 1)
 
 
 def rand_word(rng, ngens, max_len):
