@@ -38,17 +38,39 @@ room left under ``length_cap`` and the four letters around the position
 order, the letters each move inserts and how many it cancels on each
 side; a move that cannot fit under the cap is left out.  A move whose
 cancellation reaches the window's edge, or cancels completely, is
-marked, and the search counts its cancellations by index along the
-word instead, joining the two remainders when the whole move cancels.
-The search therefore reaches the same states in the same order as
-splicing every move at every position.  Rows are filled on first use
-and live for one call, in dicts, so no size depends on ``length_cap``.
+marked with the counts it saw, and the search resumes counting its
+cancellations by index along the word from there, joining the two
+remainders when the whole move cancels.  Successors therefore come in
+the same order as splicing every move at every position.  Rows are
+filled on first use and live for one call, in dicts, so no size depends
+on ``length_cap``.
+
+Where every relator is a commutator ``[x,y]`` of two generators (up to
+sign, rotation and inversion: Z^2, Z^3, ``<a,b,c | [a,b]>``) and every
+exponent sum of the word is 0, the search prunes with the winding
+bound h (see :class:`_Winding`): the sum, over the relators' generator
+planes, of |winding number| over the unit cells of the word's projected
+lattice path.  One splice changes h by exactly one and h(empty) = 0, so
+h is a consistent lower bound on the area (Bridson, *The geometry of
+the word problem*, 2002; Hart, Nilsson and Raphael, 1968).  A
+best-first pass (shortest word first, then code order, over the same
+rows and at most ``node_cap`` words) first finds some derivation, whose
+length U bounds the area from above; if it finds none, U is unbounded.
+The breadth-first pass then drops every new word whose depth plus h
+exceeds U.  Every word on the goal's parent chain has depth + h <=
+area <= U, its first parent is kept too, and the kept words stay in
+their order, so the value and certificate are those of the unpruned
+search.  ``states_explored`` counts the words the breadth-first pass
+kept, so it is smaller than unpruned, and a search that used to run
+out of ``node_cap`` may now find its value.  Every other presentation,
+and every word with a nonzero exponent sum, is searched unpruned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .presentations import Presentation, parse_word, symmetrize
@@ -85,8 +107,9 @@ class Caps(NamedTuple):
 
 @dataclass(frozen=True)
 class SearchStats:
-    """``states_explored`` counts every distinct word the search reached
-    (the start word included), which also bounds its memory."""
+    """``states_explored`` counts every distinct word the breadth-first
+    pass kept (the start word included), which also bounds its memory;
+    words the winding bound drops are not counted."""
 
     states_explored: int
     length_cap: int
@@ -180,21 +203,37 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     # letter cancels a move letter when it equals the inverted one
     move_strs = [(letters_to_str(mv), letters_to_str(tuple(-x for x in mv))) for mv, *_ in moves]
 
+    # tables[room][window] holds the _window_row of a seam window (see
+    # the module docstring); both passes read the same rows.
+    tables: dict[int, dict[str, list]] = {}
+    target = letters_to_str(w.letters)
+    winding = _Winding.of(pres, moves, w, length_cap)
+    upper = None
+    if winding is not None:
+        upper = _upper_bound(target, length_cap, node_cap, tables, move_strs)
+
     # Breadth-first over splices; unit costs, so the first time the
     # identity is generated its depth is minimal.  Each visited state
     # records (parent, move, position) for certificate reconstruction.
-    # node_cap bounds the number of distinct states reached, so it also
-    # bounds the memory of the parents map.  tables[room][window] holds
-    # the _window_row of a seam window (see the module docstring).
-    tables: dict[int, dict[str, list]] = {}
-    target = letters_to_str(w.letters)
+    # node_cap bounds the number of distinct states kept, so it also
+    # bounds the memory of the parents map.  With an upper bound, a new
+    # state at depth d is dropped when d + h > upper.  A successor's h is
+    # its parent's plus or minus one, and a kept parent has depth + h <=
+    # upper, so only "tight" parents, whose successors would exceed upper
+    # at plus one, drop any: those whose move winds its cell away from 0.
     parents: dict[str, tuple[str, int, int] | None] = {target: None}
     frontier = [target]
     explored = 1
+    depth = 0
     goal_entry = None
     while frontier and goal_entry is None:
+        depth += 1
         next_frontier = []
         for state in frontier:
+            tight = False
+            if upper is not None:
+                winds, h, corners = winding.measure(state)
+                tight = depth + h > upper - 1
             room = length_cap - len(state)
             table = tables.setdefault(room, {})
             padded = "\0\0" + state + "\0\0"
@@ -204,8 +243,12 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
                 if row is None:
                     row = table[window] = _window_row(move_strs, window, room)
                 for mi, k1, k2, mid in row:
+                    if tight:
+                        plane, offset, sign = winding.cells[mi]
+                        if winds.get(corners[plane][pos] + offset, 0) * sign >= 0:
+                            continue
                     if mid is None:
-                        nxt = _seam_splice(state, pos, *move_strs[mi])
+                        nxt = _seam_splice(state, pos, *move_strs[mi], k1, k2)
                         if len(nxt) > length_cap:
                             continue
                     else:
@@ -260,6 +303,47 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     return AreaResult(len(factors), cert, stats)
 
 
+def _upper_bound(
+    target: str, length_cap: int, node_cap: int, tables: dict[int, dict[str, list]], moves: list[tuple[str, str]]
+) -> int | None:
+    """Length of the derivation a best-first pass finds, or None.
+
+    The pass expands the shortest word first, then the least code, and
+    reads successors off the same ``tables`` rows as the breadth-first
+    pass.  It gives up, returning None, when it would hold more than
+    ``node_cap`` distinct words or runs out of words under the cap.
+    """
+    depths = {target: 0}
+    heap = [(len(target), target)]
+    while heap:
+        _, state = heappop(heap)
+        depth = depths[state] + 1
+        room = length_cap - len(state)
+        table = tables.setdefault(room, {})
+        padded = "\0\0" + state + "\0\0"
+        for pos in range(len(state) + 1):
+            window = padded[pos:pos + 4]
+            row = table.get(window)
+            if row is None:
+                row = table[window] = _window_row(moves, window, room)
+            for mi, k1, k2, mid in row:
+                if mid is None:
+                    nxt = _seam_splice(state, pos, *moves[mi], k1, k2)
+                    if len(nxt) > length_cap:
+                        continue
+                else:
+                    nxt = state[:pos - k1] + mid + state[pos + k2:]
+                if nxt in depths:
+                    continue
+                if not nxt:
+                    return depth
+                if len(depths) >= node_cap:
+                    return None
+                depths[nxt] = depth
+                heappush(heap, (len(nxt), nxt))
+    return None
+
+
 def _window_row(
     moves: list[tuple[str, str]], window: str, room: int
 ) -> list[tuple[int, int, int, str | None]]:
@@ -272,9 +356,10 @@ def _window_row(
     ``mi`` cancels ``k1`` letters on the left and ``k2`` on the right, so
     the successor is ``state[:pos-k1] + mid + state[pos+k2:]``.  Where
     the window cannot tell the result (a cancellation reaches its edge,
-    or the whole move cancels and the seams meet), ``mid`` is None and
-    the caller splices with :func:`_seam_splice` and tests the cap
-    itself.  Moves whose known result is longer than ``room`` allows are
+    or the whole move cancels and the seams meet), ``mid`` is None,
+    ``k1`` and ``k2`` count what the window saw cancel, and the caller
+    splices with :func:`_seam_splice` from those counts and tests the
+    cap itself.  Moves whose known result is longer than ``room`` allows are
     left out.
     """
     left = window[1] + window[0]
@@ -289,26 +374,29 @@ def _window_row(
         while k2 < 2 and k1 + k2 < n and inv[n - 1 - k2] == right[k2]:
             k2 += 1
         if k1 == 2 or k2 == 2 or k1 + k2 == n:
-            row.append((mi, 0, 0, None))
+            row.append((mi, k1, k2, None))
         elif n - 2 * (k1 + k2) <= room:
             row.append((mi, k1, k2, mv[k1:n - k2]))
     return row
 
 
-def _seam_splice(state: str, pos: int, move: str, inv: str) -> str:
+def _seam_splice(state: str, pos: int, move: str, inv: str, i: int = 0, j: int = 0) -> str:
     """``move`` spliced into ``state`` at ``pos`` and freely reduced.
 
     ``inv`` is ``move`` with its letters inverted in place.  Both words
     are reduced, so only the seams cancel: the move's head against the
     letters before ``pos``, then its tail against those after.  When the
     whole move cancels, the two remainders meet and cancel in turn.
+    The counts resume from ``i`` letters known to cancel on the left and
+    ``j`` on the right, as a window row counted them.
     """
     n = len(move)
-    i = 0
     while i < n and i < pos and state[pos - 1 - i] == inv[i]:
         i += 1
     end = len(state)
-    j = 0
+    # the right count was bounded by the left count it was made with
+    if j > n - i:
+        j = n - i
     while i + j < n and pos + j < end and state[pos + j] == inv[n - 1 - j]:
         j += 1
     a = pos - i
@@ -320,6 +408,96 @@ def _seam_splice(state: str, pos: int, move: str, inv: str) -> str:
         a -= 1
         b += 1
     return state[:a] + state[b:]
+
+
+class _Winding:
+    """The winding lower bound h on commutator presentations.
+
+    Every relator is ``[x,y]`` for two distinct generators, up to sign,
+    rotation and inversion, so each relator names a plane.  Projected to
+    a plane, a word with zero exponent sums is a closed lattice path, and
+    h is the sum over the planes of |winding number| over the unit
+    cells.  A splice adds a unit loop around one cell of its plane and
+    free reduction removes backtracks, so one move changes h by exactly
+    one and h(empty word) = 0: h is a consistent lower bound on the area.
+
+    A cell of plane ``k`` is keyed by one int, ``(x * stride + y) *
+    nplanes + k`` for its lower-left corner ``(x, y)``, and a point of
+    the path by the key of the cell it is the corner of.  ``cells[mi]``
+    is ``(plane, offset, sign)``: move ``mi``, spliced where the path
+    stands at key ``c``, winds once around the cell ``c + offset`` in
+    direction ``sign`` (+1 counterclockwise).
+    """
+
+    def __init__(self, planes: list[tuple[int, int]], moves, length_cap: int):
+        # keys are distinct while |y| < stride / 2; a path under the cap
+        # and the cells next to it stay within length_cap / 2 + 1
+        self.stride = stride = length_cap + 4
+        self.nplanes = count = len(planes)
+        self.codes = [(chr(2 * i - 1), chr(2 * i), chr(2 * j - 1), chr(2 * j)) for i, j in planes]
+        index = {plane: k for k, plane in enumerate(planes)}
+        self.cells = []
+        for (x, y, *_), *_ in moves:
+            # the loop x y x^-1 y^-1 runs along unit steps u then v
+            # around the cell between 0 and u + v, in direction u cross v
+            if abs(x) < abs(y):
+                plane, u, v = index[abs(x), abs(y)], (x // abs(x), 0), (0, y // abs(y))
+            else:
+                plane, u, v = index[abs(y), abs(x)], (0, x // abs(x)), (y // abs(y), 0)
+            low_x = min(0, u[0] + v[0])
+            low_y = min(0, u[1] + v[1])
+            self.cells.append((plane, (low_x * stride + low_y) * count, u[0] * v[1] - u[1] * v[0]))
+
+    @classmethod
+    def of(cls, pres: Presentation, moves, w: Word, length_cap: int) -> "_Winding | None":
+        """The bound for searches from ``w``, or None where it is not defined."""
+        planes = set()
+        for rel in pres.relators:
+            # a reduced (x, y, x^-1, y^-1) has |x| != |y|; its rotations
+            # and inverse have the same form
+            letters = rel.letters
+            if len(letters) != 4 or letters[2:] != (-letters[0], -letters[1]):
+                return None
+            planes.add(tuple(sorted((abs(letters[0]), abs(letters[1])))))
+        if any(w.exponent_sum(g) for g in range(1, pres.ngens + 1)):
+            return None
+        return cls(sorted(planes), moves, length_cap)
+
+    def measure(self, state: str) -> tuple[dict[int, int], int, list[list[int]]]:
+        """Winding of every cell around which ``state`` winds, keyed as
+        above; h; and, per plane, the corner key at every position."""
+        count = self.nplanes
+        across = self.stride * count
+        winds: dict[int, int] = {}
+        corners = []
+        for plane, (right, left, up, down) in enumerate(self.codes):
+            key = plane
+            y = low = 0
+            keys = [key]
+            edges = []
+            for ch in state:
+                if ch == right:
+                    edges.append((key, y, -1))
+                    key += across
+                elif ch == left:
+                    key -= across
+                    edges.append((key, y, 1))
+                elif ch == up:
+                    key += count
+                    y += 1
+                elif ch == down:
+                    key -= count
+                    y -= 1
+                    if y < low:
+                        low = y
+                keys.append(key)
+            corners.append(keys)
+            # a horizontal edge at height y adds its sign to the cells
+            # below it in its column; below the lowest point the signs cancel
+            for key, y, sign in edges:
+                for cell in range(key - (y - low) * count, key, count):
+                    winds[cell] = winds.get(cell, 0) + sign
+        return winds, sum(map(abs, winds.values())), corners
 
 
 def expand_certificate(pres: Presentation, cert: Certificate) -> Word:

@@ -3,11 +3,16 @@
 ``area_search`` reads most successors off tables keyed by the room left
 under the length cap and the letters at the seam.  The reference below
 is the search loop as it was before those tables: it splices every move
-at every position and tests the cap afterwards.  Both must reach the
-same states in the same order, so values, certificates, statistics and
-the point where ``AreaNotFound`` is raised agree exactly.
+at every position and tests the cap afterwards.  With ``prune=True`` it
+also applies the winding drop rule, computed from scratch: an upper
+bound U from a best-first pass, and a new state at depth d is dropped
+when d + h > U.  Searched with the same rule, both reach the same states
+in the same order, so values, certificates, statistics and the point
+where ``AreaNotFound`` is raised agree exactly.  Pruned or not, values
+and certificates agree wherever both searches find one.
 """
 
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
@@ -21,12 +26,20 @@ from markedgroups.area import (
     Certificate,
     SearchStats,
     _seam_splice,
+    _Winding,
     _window_row,
+    area_exact_small,
     area_search,
     verify_certificate,
 )
 from markedgroups.families import get_family
-from markedgroups.presentations import parse_presentation, parse_word, symmetrize
+from markedgroups.presentations import (
+    apply_symmetry,
+    parse_presentation,
+    parse_word,
+    splice_symmetries,
+    symmetrize,
+)
 from markedgroups.words import (
     Word,
     _splice,
@@ -34,14 +47,89 @@ from markedgroups.words import (
     invert_letters,
     letters_key,
     letters_to_str,
+    shell,
     str_to_letters,
 )
 
 A3_PRES = (Path(__file__).parent / "data" / "a3.pres").read_text(encoding="utf-8")
 
 
-def reference_area_search(pres, w, length_cap, node_cap):
-    """Splice every move at every position; the loop the tables replace."""
+def commutator_planes(pres):
+    """Generator pairs of the relators when every relator is a commutator, else None."""
+    planes = set()
+    for rel in pres.relators:
+        r = rel.letters
+        if len(r) != 4 or r[2] != -r[0] or r[3] != -r[1]:
+            return None
+        planes.add(frozenset((abs(r[0]), abs(r[1]))))
+    return planes
+
+
+def reference_winding(pres, letters):
+    """Sum of |winding number| over the unit cells of each relator plane.
+
+    Counted cell by cell: a ray from the cell's centre to the right
+    crosses the vertical edges of the projected path, upward ones +1 and
+    downward ones -1.  0 unless every relator is a commutator and every
+    exponent sum of ``letters`` is 0.
+    """
+    planes = commutator_planes(pres)
+    if planes is None or any(sum((x > 0) - (x < 0) for x in letters if abs(x) == g)
+                             for g in range(1, pres.ngens + 1)):
+        return 0
+    total = 0
+    for i, j in (sorted(p) for p in planes):
+        point, vertical = (0, 0), []
+        for x in letters:
+            step = 1 if x > 0 else -1
+            if abs(x) == i:
+                point = (point[0] + step, point[1])
+            elif abs(x) == j:
+                vertical.append((point[0], min(point[1], point[1] + step), step))
+                point = (point[0], point[1] + step)
+        xs = [x for x, _, _ in vertical] or [0]
+        ys = [y for _, y, _ in vertical] or [0]
+        for cx in range(min(xs) - 1, max(xs)):
+            for cy in range(min(ys), max(ys) + 1):
+                total += abs(sum(step for x, y, step in vertical if x > cx and y == cy))
+    return total
+
+
+def _splices(moves, state):
+    """(position, move index, spliced word) for every splice of ``state``."""
+    for pos in range(len(state) + 1):
+        for mi, mv in enumerate(moves):
+            yield pos, mi, _splice(state[:pos], mv, state[pos:])
+
+
+def reference_upper_bound(moves, target, length_cap, node_cap):
+    """Length of the derivation a best-first pass finds, or None.
+
+    Expands the shortest word first, then the least in letter order; the
+    first word of ``node_cap`` + 1 distinct ones ends the pass.
+    """
+    depths = {target: 0}
+    heap = [(letters_key(target), target)]
+    while heap:
+        _, state = heappop(heap)
+        for _, _, nxt in _splices(moves, state):
+            if len(nxt) > length_cap or nxt in depths:
+                continue
+            if not nxt:
+                return depths[state] + 1
+            if len(depths) >= node_cap:
+                return None
+            depths[nxt] = depths[state] + 1
+            heappush(heap, (letters_key(nxt), nxt))
+    return None
+
+
+def reference_area_search(pres, w, length_cap, node_cap, prune=False):
+    """Splice every move at every position; the loop the tables replace.
+
+    With ``prune`` a new state at depth d is dropped when d +
+    :func:`reference_winding` exceeds :func:`reference_upper_bound`.
+    """
     if not pres.relators:
         raise ValueError("presentation has no relators; area is undefined")
     if w.ngens != pres.ngens:
@@ -57,33 +145,36 @@ def reference_area_search(pres, w, length_cap, node_cap):
 
     moves = symmetrize(pres)
     move_words = [m[0] for m in moves]
+    upper = None
+    if prune and commutator_planes(pres) is not None and not any(
+        w.exponent_sum(g) for g in range(1, pres.ngens + 1)
+    ):
+        upper = reference_upper_bound(move_words, target, length_cap, node_cap)
 
     parents: dict = {target: None}
     frontier = [target]
     explored = 1
+    depth = 0
     goal_entry = None
     while frontier and goal_entry is None:
+        depth += 1
         next_frontier = []
         for state in frontier:
-            for pos in range(len(state) + 1):
-                prefix = state[:pos]
-                suffix = state[pos:]
-                for mi, mv in enumerate(move_words):
-                    nxt = _splice(prefix, mv, suffix)
-                    if len(nxt) > length_cap or nxt in parents:
-                        continue
-                    if not nxt:
-                        goal_entry = (state, mi, pos)
-                        parents[nxt] = goal_entry
-                        explored += 1
-                        break
-                    if explored >= node_cap:
-                        raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
-                    parents[nxt] = (state, mi, pos)
+            for pos, mi, nxt in _splices(move_words, state):
+                if len(nxt) > length_cap or nxt in parents:
+                    continue
+                if upper is not None and depth + reference_winding(pres, nxt) > upper:
+                    continue
+                if not nxt:
+                    goal_entry = (state, mi, pos)
+                    parents[nxt] = goal_entry
                     explored += 1
-                    next_frontier.append(nxt)
-                if goal_entry is not None:
                     break
+                if explored >= node_cap:
+                    raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
+                parents[nxt] = (state, mi, pos)
+                explored += 1
+                next_frontier.append(nxt)
             if goal_entry is not None:
                 break
         next_frontier.sort(key=letters_key)
@@ -120,7 +211,11 @@ GROUPS = {
     "z3": "gens: a b c\nrels: [a,b]; [a,c]; [b,c]",
     "bs12": "gens: a b\nrels: b a b^-1 a^-2",
     "a3": A3_PRES,
+    "z2_rotated": "gens: x y\nrels: [y^-1,x]",
+    "z2_free": "gens: a b c\nrels: [a,b]",
 }
+# groups where every relator is a commutator, so the winding bound prunes
+WINDING_GROUPS = ("z2", "z3", "z2_rotated", "z2_free")
 MAX_WORD = 10
 
 
@@ -143,9 +238,9 @@ def search_cases(draw):
     return pres, Word(pres.ngens, letters), length_cap, node_cap
 
 
-def _outcome(search, pres, w, length_cap, node_cap):
+def _outcome(search, pres, w, length_cap, node_cap, **options):
     try:
-        return search(pres, w, length_cap, node_cap)
+        return search(pres, w, length_cap, node_cap, **options)
     except AreaNotFound as exc:
         return ("not found", exc.stats, str(exc))
 
@@ -156,8 +251,29 @@ def _outcome(search, pres, w, length_cap, node_cap):
 def test_tables_match_reference_search(case):
     pres, w, length_cap, node_cap = case
     assume(len(w) <= MAX_WORD)
-    expected = _outcome(reference_area_search, pres, w, length_cap, node_cap)
+    expected = _outcome(reference_area_search, pres, w, length_cap, node_cap, prune=True)
     assert _outcome(area_search, pres, w, length_cap, node_cap) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(search_cases())
+def test_pruned_search_matches_unpruned_reference(case):
+    # pruning drops no state of the goal's parent chain and keeps the
+    # frontier's order, so wherever the unpruned search finds a value the
+    # pruned one finds the same value and certificate from fewer states
+    pres, w, length_cap, node_cap = case
+    assume(len(w) <= MAX_WORD)
+    expected = _outcome(reference_area_search, pres, w, length_cap, node_cap)
+    found = _outcome(area_search, pres, w, length_cap, node_cap)
+    if commutator_planes(pres) is None:
+        assert found == expected
+        return
+    if isinstance(expected, AreaResult):
+        assert (found.value, found.certificate) == (expected.value, expected.certificate)
+    found_stats = found.stats if isinstance(found, AreaResult) else found[1]
+    expected_stats = expected.stats if isinstance(expected, AreaResult) else expected[1]
+    assert found_stats.states_explored <= expected_stats.states_explored
 
 
 @pytest.mark.parametrize("text, word, length_cap", [
@@ -170,7 +286,7 @@ def test_tables_match_reference_on_larger_searches(text, word, length_cap):
     pres = parse_presentation(text)
     w = parse_word(word, pres.gen_names)
     for node_cap in (10, 500, 10**6):
-        expected = _outcome(reference_area_search, pres, w, length_cap, node_cap)
+        expected = _outcome(reference_area_search, pres, w, length_cap, node_cap, prune=True)
         assert _outcome(area_search, pres, w, length_cap, node_cap) == expected
 
 
@@ -195,7 +311,7 @@ def test_window_rows_agree_with_splice():
                 for mi, k1, k2, mid in row:
                     spliced = _splice(state[:pos], moves[mi], state[pos:])
                     if mid is None:
-                        assert str_to_letters(_seam_splice(code, pos, *move_strs[mi])) == spliced
+                        assert str_to_letters(_seam_splice(code, pos, *move_strs[mi], k1, k2)) == spliced
                     else:
                         assert str_to_letters(code[:pos - k1] + mid + code[pos + k2:]) == spliced
                         assert len(spliced) <= len(state) + room
@@ -230,9 +346,15 @@ def test_seam_splice_matches_splice_at_every_position(case):
     pres, state = case
     moves, move_strs = _move_strs(pres)
     code = letters_to_str(state)
+    padded = "\0\0" + code + "\0\0"
     for pos in range(len(state) + 1):
         for mv, pair in zip(moves, move_strs):
             assert str_to_letters(_seam_splice(code, pos, *pair)) == _splice(state[:pos], mv, state[pos:])
+        # resumed from the counts of the window row that marked the move
+        for mi, k1, k2, mid in _window_row(move_strs, padded[pos:pos + 4], len(state) + 100):
+            if mid is None:
+                spliced = _seam_splice(code, pos, *move_strs[mi], k1, k2)
+                assert str_to_letters(spliced) == _splice(state[:pos], moves[mi], state[pos:])
 
 
 def test_seam_splice_joins_the_remainders_of_a_cancelled_move():
@@ -261,3 +383,89 @@ def test_huge_length_cap_allocates_nothing_by_cap(z2):
     result = area_search(z2, parse_word("[x,y]", z2.gen_names), 10**9, 1000)
     assert result.value == 1
     assert result.stats.length_cap == 10**9
+
+
+# the winding bound itself
+
+@st.composite
+def winding_cases(draw):
+    """A group whose relators are all commutators and a trivial word of it."""
+    pres = parse_presentation(GROUPS[draw(st.sampled_from(WINDING_GROUPS))])
+    letter = st.sampled_from([s * g for g in range(1, pres.ngens + 1) for s in (1, -1)])
+    factors = draw(st.lists(
+        st.tuples(st.lists(letter, max_size=3), st.sampled_from(pres.relators), st.booleans()),
+        max_size=4,
+    ))
+    letters = ()
+    for conj, rel, inverted in factors:
+        u = free_reduce(conj)
+        body = invert_letters(rel.letters) if inverted else rel.letters
+        letters = free_reduce(letters + u + body + invert_letters(u))
+    return pres, letters
+
+
+def _winding(pres, letters):
+    return _Winding.of(pres, symmetrize(pres), Word(pres.ngens, letters), max(len(letters), 1) + 8)
+
+
+def test_winding_of_the_empty_word_is_zero():
+    for name in WINDING_GROUPS:
+        pres = parse_presentation(GROUPS[name])
+        assert reference_winding(pres, ()) == 0
+        assert _winding(pres, ()).measure("")[1] == 0
+
+
+def test_winding_applies_only_to_commutator_relators_and_zero_exponent_sums():
+    for name in ("zxz3", "dihedral5", "bs12", "a3"):
+        pres = parse_presentation(GROUPS[name])
+        assert _winding(pres, ()) is None
+    z2 = parse_presentation(GROUPS["z2"])
+    assert _winding(z2, (1, 2)) is None
+    assert reference_winding(z2, (1, 2)) == 0
+    assert _winding(z2, (1, 2, -1, -2)) is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(winding_cases())
+def test_winding_changes_by_one_across_every_splice(case):
+    # h is consistent: one splice moves it by exactly one, and the search
+    # reads that change off the winding of one cell
+    pres, state = case
+    moves, _ = _move_strs(pres)
+    bound = _winding(pres, state)
+    winds, h, corners = bound.measure(letters_to_str(state))
+    assert h == reference_winding(pres, state)
+    for pos, mi, spliced in _splices(moves, state):
+        change = reference_winding(pres, spliced) - h
+        assert abs(change) == 1
+        plane, offset, sign = bound.cells[mi]
+        cell = winds.get(corners[plane][pos] + offset, 0)
+        assert abs(cell + sign) - abs(cell) == change
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(winding_cases())
+def test_winding_is_invariant_under_splice_symmetries_and_inversion(case):
+    # dehn searches one word per orbit, so h must not depend on the member
+    pres, state = case
+    h = reference_winding(pres, state)
+    assert reference_winding(pres, invert_letters(state)) == h
+    for sym in splice_symmetries(pres):
+        image = apply_symmetry(sym, state)
+        assert reference_winding(pres, image) == h
+        assert _winding(pres, image).measure(letters_to_str(image))[1] == h
+
+
+@pytest.mark.parametrize("name", WINDING_GROUPS)
+def test_winding_is_at_most_the_area(name):
+    pres = parse_presentation(GROUPS[name])
+    found = 0
+    for length in range(0, 7, 2):
+        for letters in shell(pres.ngens, length):
+            if any(Word(pres.ngens, letters).exponent_sum(g) for g in range(1, pres.ngens + 1)):
+                continue
+            area = area_exact_small(pres, Word(pres.ngens, letters), 3, 2)
+            if area is not None:
+                assert reference_winding(pres, letters) <= area
+                found += 1
+    assert found > 20

@@ -67,8 +67,8 @@ def test_area_parse_error_exit_code(pres_dir, capsys):
     for fmt, ext in (("json", "json"), ("table", "txt"), ("csv", "csv"))
 ])
 def test_area_matches_golden_report(word, fmt, fixture, capsys, monkeypatch):
-    # fixtures were captured from the splice-everything search; the
-    # successor tables must reach the same states in the same order
+    # values and certificates were captured from the splice-everything
+    # search; states_explored counts the states the winding bound keeps
     monkeypatch.chdir(AREA_GOLDEN)
     code, out, err = run_cli(["area", "-p", "z2.pres", "-w", word, "--length-cap", "14", "--format", fmt], capsys)
     assert (code, err) == (0, "")
@@ -78,10 +78,32 @@ def test_area_matches_golden_report(word, fmt, fixture, capsys, monkeypatch):
 def test_area_node_cap_matches_golden_error(capsys, monkeypatch):
     monkeypatch.chdir(AREA_GOLDEN)
     code, out, err = run_cli(
-        ["area", "-p", "z2.pres", "-w", "x^3 y^3 x^-3 y^-3", "--length-cap", "14", "--node-cap", "3000"], capsys
+        ["area", "-p", "z2.pres", "-w", "x^3 y^3 x^-3 y^-3", "--length-cap", "14", "--node-cap", "300"], capsys
     )
     assert (code, out) == (3, "")
-    assert err == (AREA_GOLDEN / "x33_cap14_nodes3000.err").read_text(encoding="utf-8")
+    assert err == (AREA_GOLDEN / "x33_cap14_nodes300.err").read_text(encoding="utf-8")
+
+
+def test_area_node_cap_the_unpruned_search_exhausted_now_gives_the_value(capsys, monkeypatch):
+    # unpruned, this search stopped at 3,000 of the 7,822 states it needs;
+    # the winding bound keeps 694 of them
+    monkeypatch.chdir(AREA_GOLDEN)
+    code, out, err = run_cli(
+        ["area", "-p", "z2.pres", "-w", "x^3 y^3 x^-3 y^-3", "--length-cap", "14", "--node-cap", "3000",
+         "--format", "json"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == (AREA_GOLDEN / "x33_cap14.json").read_text(encoding="utf-8")
+    assert json.loads(out)["value"] == 9
+
+
+def test_area_with_nonzero_exponent_sums_searches_unpruned(capsys, monkeypatch):
+    # x y is not trivial in Z^2; the winding bound needs zero exponent
+    # sums, so the search and its message are the unpruned ones
+    monkeypatch.chdir(AREA_GOLDEN)
+    code, out, err = run_cli(["area", "-p", "z2.pres", "-w", "x y"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "not found: no derivation found within caps (length 10, nodes 1000000); explored 2430 states\n"
 
 
 def test_dehn_family(capsys):
