@@ -33,17 +33,17 @@ goal's parent chain, to build the certificate.
 
 A splice changes a word only at its seam, so successors are read off
 tables rather than spliced one by one.  A table row is keyed by the
-room left under ``length_cap`` and the four letters around the position
-(two on each side, code 0 past an end of the word).  It lists, in move
-order, the letters each move inserts and how many it cancels on each
-side; a move that cannot fit under the cap is left out.  A move whose
-cancellation reaches the window's edge, or cancels completely, is
-marked with the counts it saw, and the search resumes counting its
-cancellations by index along the word from there, joining the two
-remainders when the whole move cancels.  Successors therefore come in
-the same order as splicing every move at every position.  Rows are
-filled on first use and live for one call, in dicts, so no size depends
-on ``length_cap``.
+four letters around the position alone (two on each side, code 0 past
+an end of the word).  It lists every move in move order, with the
+letters it inserts, how many it cancels on each side and how many
+letters it adds; a move that would pass ``length_cap`` is skipped as
+the row is read.  A move whose cancellation reaches the window's edge,
+or cancels completely, is marked with the counts it saw, and the search
+resumes counting its cancellations by index along the word from there,
+joining the two remainders when the whole move cancels.  Both passes
+below take successors from one generator over these rows, in the order
+of splicing every move at every position.  Rows are filled on first use
+and live for one call, in a dict, so no size depends on ``length_cap``.
 
 Where every relator is a commutator ``[x,y]`` of two generators (up to
 sign, rotation and inversion: Z^2, Z^3, ``<a,b,c | [a,b]>``) and every
@@ -139,8 +139,9 @@ class Certificate:
         factors = []
         for item in data:
             u = parse_word(item["conjugator"], pres.gen_names)
-            sign = 1 if item["sign"] == "+" else -1
-            factors.append((u, int(item["relator"]), sign))
+            if item["sign"] not in ("+", "-"):
+                raise ValueError(f"invalid sign {item['sign']!r}: expected '+' or '-'")
+            factors.append((u, int(item["relator"]), 1 if item["sign"] == "+" else -1))
         return cls(tuple(factors))
 
 
@@ -203,9 +204,9 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
     # letter cancels a move letter when it equals the inverted one
     move_strs = [(letters_to_str(mv), letters_to_str(tuple(-x for x in mv))) for mv, *_ in moves]
 
-    # tables[room][window] holds the _window_row of a seam window (see
-    # the module docstring); both passes read the same rows.
-    tables: dict[int, dict[str, list]] = {}
+    # tables[window] holds the _window_row of a seam window (see the
+    # module docstring); both passes read the same rows.
+    tables: dict[str, list] = {}
     target = letters_to_str(w.letters)
     winding = _Winding.of(pres, moves, w, length_cap)
     upper = None
@@ -230,43 +231,22 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
         depth += 1
         next_frontier = []
         for state in frontier:
-            tight = False
+            drop = None
             if upper is not None:
                 winds, h, corners = winding.measure(state)
-                tight = depth + h > upper - 1
-            room = length_cap - len(state)
-            table = tables.setdefault(room, {})
-            padded = "\0\0" + state + "\0\0"
-            for pos in range(len(state) + 1):
-                window = padded[pos:pos + 4]
-                row = table.get(window)
-                if row is None:
-                    row = table[window] = _window_row(move_strs, window, room)
-                for mi, k1, k2, mid in row:
-                    if tight:
-                        plane, offset, sign = winding.cells[mi]
-                        if winds.get(corners[plane][pos] + offset, 0) * sign >= 0:
-                            continue
-                    if mid is None:
-                        nxt = _seam_splice(state, pos, *move_strs[mi], k1, k2)
-                        if len(nxt) > length_cap:
-                            continue
-                    else:
-                        nxt = state[:pos - k1] + mid + state[pos + k2:]
-                    if nxt in parents:
-                        continue
-                    if not nxt:
-                        goal_entry = (state, mi, pos)
-                        parents[nxt] = goal_entry
-                        explored += 1
-                        break
-                    if explored >= node_cap:
-                        raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
-                    parents[nxt] = (state, mi, pos)
+                if depth + h > upper - 1:
+                    drop = (winding.cells, winds, corners)
+            for mi, pos, nxt in _successors(state, length_cap, tables, move_strs, parents, drop):
+                if not nxt:
+                    goal_entry = (state, mi, pos)
+                    parents[nxt] = goal_entry
                     explored += 1
-                    next_frontier.append(nxt)
-                if goal_entry is not None:
                     break
+                if explored >= node_cap:
+                    raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
+                parents[nxt] = (state, mi, pos)
+                explored += 1
+                next_frontier.append(nxt)
             if goal_entry is not None:
                 break
         # length-lex: the stable sort by length keeps the code order within a length
@@ -304,12 +284,12 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
 
 
 def _upper_bound(
-    target: str, length_cap: int, node_cap: int, tables: dict[int, dict[str, list]], moves: list[tuple[str, str]]
+    target: str, length_cap: int, node_cap: int, tables: dict[str, list], moves: list[tuple[str, str]]
 ) -> int | None:
     """Length of the derivation a best-first pass finds, or None.
 
-    The pass expands the shortest word first, then the least code, and
-    reads successors off the same ``tables`` rows as the breadth-first
+    The pass expands the shortest word first, then the least code, over
+    the same :func:`_successors` and ``tables`` as the breadth-first
     pass.  It gives up, returning None, when it would hold more than
     ``node_cap`` distinct words or runs out of words under the cap.
     """
@@ -318,49 +298,67 @@ def _upper_bound(
     while heap:
         _, state = heappop(heap)
         depth = depths[state] + 1
-        room = length_cap - len(state)
-        table = tables.setdefault(room, {})
-        padded = "\0\0" + state + "\0\0"
-        for pos in range(len(state) + 1):
-            window = padded[pos:pos + 4]
-            row = table.get(window)
-            if row is None:
-                row = table[window] = _window_row(moves, window, room)
-            for mi, k1, k2, mid in row:
-                if mid is None:
-                    nxt = _seam_splice(state, pos, *moves[mi], k1, k2)
-                    if len(nxt) > length_cap:
-                        continue
-                else:
-                    nxt = state[:pos - k1] + mid + state[pos + k2:]
-                if nxt in depths:
-                    continue
-                if not nxt:
-                    return depth
-                if len(depths) >= node_cap:
-                    return None
-                depths[nxt] = depth
-                heappush(heap, (len(nxt), nxt))
+        for _, _, nxt in _successors(state, length_cap, tables, moves, depths):
+            if not nxt:
+                return depth
+            if len(depths) >= node_cap:
+                return None
+            depths[nxt] = depth
+            heappush(heap, (len(nxt), nxt))
     return None
 
 
-def _window_row(
-    moves: list[tuple[str, str]], window: str, room: int
-) -> list[tuple[int, int, int, str | None]]:
-    """Successors of one splice position, read off its seam window.
+def _successors(
+    state: str, length_cap: int, tables: dict[str, list], moves: list[tuple[str, str]], seen, drop=None
+):
+    """Yield ``(mi, pos, nxt)`` for every splice of ``state`` whose
+    result ``nxt`` fits under ``length_cap`` and is not in ``seen`` when
+    it is reached, by position, then move.
 
-    ``moves`` pairs each move string with its letters inverted in place.
+    ``tables`` maps a seam window to its :func:`_window_row`.  ``drop``,
+    when given, is ``(cells, winds, corners)`` of :class:`_Winding`, and
+    a move that would raise h is skipped before it is spliced.
+    """
+    if drop is not None:
+        cells, winds, corners = drop
+    room = length_cap - len(state)
+    padded = "\0\0" + state + "\0\0"
+    for pos in range(len(state) + 1):
+        window = padded[pos:pos + 4]
+        row = tables.get(window)
+        if row is None:
+            row = tables[window] = _window_row(moves, window)
+        for mi, k1, k2, mid, growth in row:
+            if growth > room:
+                continue
+            if drop is not None:
+                plane, offset, sign = cells[mi]
+                if winds.get(corners[plane][pos] + offset, 0) * sign >= 0:
+                    continue
+            if mid is None:
+                nxt = _seam_splice(state, pos, *moves[mi], k1, k2)
+                if len(nxt) > length_cap:
+                    continue
+            else:
+                nxt = state[:pos - k1] + mid + state[pos + k2:]
+            if nxt not in seen:
+                yield mi, pos, nxt
+
+
+def _window_row(moves: list[tuple[str, str]], window: str) -> list[tuple[int, int, int, str | None, int]]:
+    """Splices of every move at one position, read off its seam window.
+
+    ``moves`` pairs each move string with its letters inverted in place;
     ``window`` holds the two letters on each side of the position, code
-    0 past an end of the word; ``room`` is how many letters the word may
-    still grow.  Entries ``(mi, k1, k2, mid)`` follow move order: move
-    ``mi`` cancels ``k1`` letters on the left and ``k2`` on the right, so
-    the successor is ``state[:pos-k1] + mid + state[pos+k2:]``.  Where
-    the window cannot tell the result (a cancellation reaches its edge,
-    or the whole move cancels and the seams meet), ``mid`` is None,
-    ``k1`` and ``k2`` count what the window saw cancel, and the caller
-    splices with :func:`_seam_splice` from those counts and tests the
-    cap itself.  Moves whose known result is longer than ``room`` allows are
-    left out.
+    0 past an end of the word.  Entry ``(mi, k1, k2, mid, growth)``:
+    move ``mi`` cancels ``k1`` letters on the left and ``k2`` on the
+    right, so the successor is ``state[:pos-k1] + mid + state[pos+k2:]``,
+    ``growth`` letters longer than the state.  Where the window cannot
+    tell the result (a cancellation reaches its edge, or the whole move
+    cancels and the seams meet), ``mid`` is None, ``k1`` and ``k2``
+    count what the window saw cancel, and ``growth`` is 0, which no room
+    is below: the caller splices with :func:`_seam_splice` and tests the
+    cap itself.
     """
     left = window[1] + window[0]
     right = window[2:]
@@ -374,9 +372,9 @@ def _window_row(
         while k2 < 2 and k1 + k2 < n and inv[n - 1 - k2] == right[k2]:
             k2 += 1
         if k1 == 2 or k2 == 2 or k1 + k2 == n:
-            row.append((mi, k1, k2, None))
-        elif n - 2 * (k1 + k2) <= room:
-            row.append((mi, k1, k2, mv[k1:n - k2]))
+            row.append((mi, k1, k2, None, 0))
+        else:
+            row.append((mi, k1, k2, mv[k1:n - k2], n - 2 * (k1 + k2)))
     return row
 
 

@@ -30,6 +30,7 @@ that of the one process pool a command opens with :func:`worker_pool`.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -152,19 +153,21 @@ def worker_pool(workers: int):
     """A context giving the ``map`` that area searches fan out through.
 
     For one worker that is the builtin ``map``.  Otherwise it is the
-    ``map`` of one process pool of ``workers`` processes over one list
-    ``items``, in chunks of ``max(1, len(items) // (4 * workers))``
-    items.  The pool is built through the name ``ProcessPoolExecutor``
-    of this module and is shut down, its processes joined, when the
-    context exits.  Under the fork start method the executor starts its
-    processes at the first ``map``, so a pool that is never used starts
-    no process.
+    ``map`` of one process pool over one list ``items``, with
+    ``processes = min(workers, os.cpu_count())``, never more than the
+    CPUs, and chunks of ``max(1, len(items) // (4 * processes))`` items.
+    The pool is built through the name ``ProcessPoolExecutor`` of this
+    module and is shut down, its processes joined, when the context
+    exits.  Under the fork start method the executor starts all its
+    processes at the first ``map`` that submits work, so a pool that is
+    never used starts no process.
     """
     if workers <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+    processes = min(workers, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        yield lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (4 * processes)))
 
 
 def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnTable:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -96,6 +97,12 @@ def test_certificate_json_round_trip(z2):
         cert = rand_certificate(rng, z2, 3, 3)
         again = Certificate.from_json(z2, cert.to_json(z2))
         assert again == cert
+
+
+@pytest.mark.parametrize("sign", ["plus", "", "+1", "minus"])
+def test_certificate_from_json_rejects_an_unknown_sign(z2, sign):
+    with pytest.raises(ValueError, match=re.escape(repr(sign))):
+        Certificate.from_json(z2, [{"conjugator": "x", "relator": 0, "sign": sign}])
 
 
 # certificate soundness and round trip

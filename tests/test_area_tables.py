@@ -1,15 +1,17 @@
 """The window-table area search against the splice-everything reference.
 
-``area_search`` reads most successors off tables keyed by the room left
-under the length cap and the letters at the seam.  The reference below
-is the search loop as it was before those tables: it splices every move
-at every position and tests the cap afterwards.  With ``prune=True`` it
-also applies the winding drop rule, computed from scratch: an upper
-bound U from a best-first pass, and a new state at depth d is dropped
-when d + h > U.  Searched with the same rule, both reach the same states
-in the same order, so values, certificates, statistics and the point
-where ``AreaNotFound`` is raised agree exactly.  Pruned or not, values
-and certificates agree wherever both searches find one.
+``area_search`` takes its successors from one generator,
+``_successors``, that reads most of them off tables keyed by the four
+letters at the seam alone and skips a move whose growth leaves no room
+under the length cap.  The reference below is the search loop as it was
+before those tables: it splices every move at every position and tests
+the cap afterwards.  With ``prune=True`` it also applies the winding
+drop rule, computed from scratch: an upper bound U from a best-first
+pass, and a new state at depth d is dropped when d + h > U.  Searched
+with the same rule, both reach the same states in the same order, so
+values, certificates, statistics and the point where ``AreaNotFound``
+is raised agree exactly.  Pruned or not, values and certificates agree
+wherever both searches find one.
 """
 
 from heapq import heappop, heappush
@@ -26,6 +28,7 @@ from markedgroups.area import (
     Certificate,
     SearchStats,
     _seam_splice,
+    _successors,
     _Winding,
     _window_row,
     area_exact_small,
@@ -297,8 +300,10 @@ def _move_strs(pres):
 
 
 def test_window_rows_agree_with_splice():
-    # every entry a row keeps gives the spliced word; every move it drops
-    # splices to a word longer than the room allows
+    # a row lists every move in move order; at every room, a certain
+    # entry whose growth fits gives the spliced word and fits the room,
+    # one whose growth does not fit splices past the room, and a marked
+    # entry gives the spliced word once _seam_splice resumes its counts
     pres = parse_presentation(GROUPS["dihedral5"])
     moves, move_strs = _move_strs(pres)
     for state in [(), (1,), (2, 1), (1, 2, 1, 2), (2, 1, 2, 1, 2), (-1, 2, 2, -1)]:
@@ -306,18 +311,61 @@ def test_window_rows_agree_with_splice():
         padded = "\0\0" + code + "\0\0"
         for room in range(0, 12):
             for pos in range(len(state) + 1):
-                row = _window_row(move_strs, padded[pos:pos + 4], room)
-                kept = {mi for mi, *_ in row}
-                for mi, k1, k2, mid in row:
+                row = _window_row(move_strs, padded[pos:pos + 4])
+                assert [mi for mi, *_ in row] == list(range(len(moves)))
+                for mi, k1, k2, mid, growth in row:
                     spliced = _splice(state[:pos], moves[mi], state[pos:])
                     if mid is None:
                         assert str_to_letters(_seam_splice(code, pos, *move_strs[mi], k1, k2)) == spliced
-                    else:
+                    elif growth <= room:
                         assert str_to_letters(code[:pos - k1] + mid + code[pos + k2:]) == spliced
                         assert len(spliced) <= len(state) + room
-                for mi, mv in enumerate(moves):
-                    if mi not in kept:
-                        assert len(_splice(state[:pos], mv, state[pos:])) > len(state) + room
+                    else:
+                        assert len(spliced) > len(state) + room
+
+
+def _kernel_states(pres):
+    """A few reduced words of ``pres``: short ones, relators and conjugates of them."""
+    g = pres.ngens
+    first, last = pres.relators[0].letters, pres.relators[-1].letters
+    return [
+        (), (1,), (1, g, 1), first, last,
+        free_reduce((g, g) + last + (-g, -g)),
+        free_reduce((1, -g) + last + (g, -1) + invert_letters(first)),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_successors_match_splicing_every_move_at_every_position(name):
+    # one table serves every state and room; a word in ``seen`` is not
+    # yielded, and with the winding drop the kernel yields the same list
+    # minus the moves that raise h
+    pres = parse_presentation(GROUPS[name])
+    moves, move_strs = _move_strs(pres)
+    tables = {}
+    pruned_lists = 0
+    for state in _kernel_states(pres):
+        code = letters_to_str(state)
+        for room in range(0, 9):
+            length_cap = len(state) + room
+            expected = [(mi, pos, spliced) for pos, mi, spliced in _splices(moves, state)
+                        if len(spliced) <= length_cap]
+            found = [(mi, pos, str_to_letters(nxt))
+                     for mi, pos, nxt in _successors(code, length_cap, tables, move_strs, {})]
+            assert found == expected
+            seen = {letters_to_str(spliced) for _, _, spliced in expected[::2]}
+            assert [(mi, pos, nxt) for mi, pos, nxt in _successors(code, length_cap, tables, move_strs, seen)] \
+                == [(mi, pos, letters_to_str(w)) for mi, pos, w in expected if letters_to_str(w) not in seen]
+            bound = _Winding.of(pres, symmetrize(pres), Word(pres.ngens, state), length_cap)
+            if bound is None:
+                continue
+            winds, h, corners = bound.measure(code)
+            assert h == reference_winding(pres, state)
+            pruned = [(mi, pos, str_to_letters(nxt)) for mi, pos, nxt
+                      in _successors(code, length_cap, tables, move_strs, {}, (bound.cells, winds, corners))]
+            assert pruned == [(mi, pos, w) for mi, pos, w in expected if reference_winding(pres, w) <= h]
+            pruned_lists += 1
+    assert (pruned_lists > 0) == (name in WINDING_GROUPS)
 
 
 SPLICE_GROUPS = ("z2", "dihedral5", "bs12", "a3")
@@ -351,7 +399,7 @@ def test_seam_splice_matches_splice_at_every_position(case):
         for mv, pair in zip(moves, move_strs):
             assert str_to_letters(_seam_splice(code, pos, *pair)) == _splice(state[:pos], mv, state[pos:])
         # resumed from the counts of the window row that marked the move
-        for mi, k1, k2, mid in _window_row(move_strs, padded[pos:pos + 4], len(state) + 100):
+        for mi, k1, k2, mid, _ in _window_row(move_strs, padded[pos:pos + 4]):
             if mid is None:
                 spliced = _seam_splice(code, pos, *move_strs[mi], k1, k2)
                 assert str_to_letters(spliced) == _splice(state[:pos], moves[mi], state[pos:])
@@ -379,7 +427,8 @@ def test_search_on_two_hundred_generators():
 
 
 def test_huge_length_cap_allocates_nothing_by_cap(z2):
-    # tables are keyed by room in a dict, so a cap far beyond any word is cheap
+    # rows are keyed by the seam window alone and the cap is only compared
+    # with, so a cap far beyond any word is cheap
     result = area_search(z2, parse_word("[x,y]", z2.gen_names), 10**9, 1000)
     assert result.value == 1
     assert result.stats.length_cap == 10**9

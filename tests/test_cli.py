@@ -602,6 +602,18 @@ def test_cache_hit_dehn_starts_no_process(opened_pools, started_processes, tmp_p
     assert len(opened_pools) == 1 and started_processes == []
 
 
+def test_workers_beyond_the_cpu_count_build_a_pool_of_cpu_count(
+    monkeypatch, opened_pools, started_processes, capsys
+):
+    # radius 0 has no nonempty trivial word, so the pool is built but
+    # submits nothing and no process starts
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, err = run_cli(["dehn", "--family", "zxz", "--i", "3", "--n", "0", "--workers", "64"], capsys)
+    assert (code, err) == (0, "")
+    assert [pool._max_workers for pool in opened_pools] == [2]
+    assert started_processes == []
+
+
 @pytest.mark.parametrize("argv, fixture", [
     (["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6"], "dihedral_6_n4-6_w2.txt"),
     (["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"],
