@@ -16,14 +16,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["ResultCache", "default_cache_dir"]
-
-ENV_VAR = "MARKEDGROUPS_CACHE_DIR"
-
-
-def default_cache_dir() -> str | None:
-    """Cache directory from the environment, or None (caching off)."""
-    return os.environ.get(ENV_VAR) or None
+__all__ = ["ResultCache"]
 
 
 class ResultCache:

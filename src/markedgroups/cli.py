@@ -1,14 +1,20 @@
 """Command-line front end.
 
 Subcommands: area, dehn, rel-ball, dist, converge, verify-theorem.
-Each takes --format table|json|csv, --cache-dir (read only by dehn) and
-only the options it reads: --length-cap and --node-cap (area, dehn,
-verify-theorem), --workers (dehn, verify-theorem), --lambda-max (dist,
-converge).
+Each takes --format table|json|csv, --cache-dir (read only by dehn; no
+cache without it) and only the options it reads: --length-cap and
+--node-cap (area, dehn, verify-theorem), --workers (dehn,
+verify-theorem), --lambda-max (dist, converge).
 
-Exit codes: 0 success; 2 input or parse error; 3 area not found within
-caps; 4 unknown oracle verdict; 5 a checked inequality failed (which
-would mean an implementation bug); 6 a worker process of --workers died.
+dehn, rel-ball and dist name each group in one of two ways: a
+presentation file with an oracle spec, which defaults to free for a
+file without relators, or --family with one index --i, which gives the
+member and, for dist's second group, the limit.
+
+Exit codes: 0 success; 2 input or parse error, including a path that
+cannot be read; 3 area not found within caps; 4 unknown oracle verdict;
+5 a checked inequality failed (which would mean an implementation bug);
+6 a worker process of --workers died.
 """
 
 from __future__ import annotations
@@ -22,13 +28,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache
 from .dehn import DehnComputationError, dehn, verify_family, worker_pool
 from .families import get_family
 from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
 from .presentations import (
     Presentation,
-    PresentationSyntaxError,
     max_relator_length,
     parse_presentation,
     parse_word,
@@ -65,7 +70,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
     """--format and --cache-dir, then the named entries of ``_OPTIONS``."""
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory (env MARKEDGROUPS_CACHE_DIR); only dehn reads it"
+        "--cache-dir", default=None, help="result cache directory, off when not given; only dehn reads it"
     )
     for name in names:
         parser.add_argument(name, **_OPTIONS[name])
@@ -150,51 +155,46 @@ def _parse_radii(text: str) -> list[int]:
     return radii
 
 
-def _family_member(args):
-    """The family named by --family and the one index given by --i."""
-    if args.i is None:
-        raise ValueError("--family requires --i")
-    family = get_family(args.family)
-    try:
-        i = int(args.i)
-    except ValueError:
-        raise ValueError(f"--i {args.i!r}: {args.command} takes one integer index") from None
-    return family, i
-
-
 def _load_presentation_file(path: str) -> Presentation:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_presentation(handle.read(), name=path)
 
 
-def _check_family_flags(args, others: dict[str, str | None]) -> None:
-    """Reject --i without --family, and any option of ``others`` (flag to value) next to it."""
-    if not args.family:
-        if args.i is not None:
-            raise ValueError("--i requires --family")
-        return
-    given = [flag for flag, value in others.items() if value is not None]
-    if given:
-        raise ValueError(f"{'/'.join(given)} cannot be combined with --family")
+def _groups(args, *files) -> list[tuple[Presentation, object, str]]:
+    """One (presentation, oracle, label) per ``files`` entry, a (file flag, path, oracle flag, spec) tuple.
 
-
-def _resolve_group(args) -> tuple[Presentation, object, str]:
-    """Presentation plus oracle from either -p/--oracle or --family/--i."""
-    _check_family_flags(args, {"-p": args.presentation, "--oracle": args.oracle})
+    With --family the groups are the member named by --i, then the limit
+    (for a second entry), and no file or oracle flag may be given.
+    Otherwise each entry loads its file; a file without relators takes
+    the free oracle unless a spec is given.
+    """
     if args.family:
-        family, i = _family_member(args)
-        pres, oracle = family.member(i)
-        return pres, oracle, f"{family.name}[{i}]"
-    if not args.presentation:
-        raise ValueError("give either -p FILE or --family NAME --i K")
-    pres = _load_presentation_file(args.presentation)
-    if args.oracle:
-        oracle = build_oracle(args.oracle, pres)
-    elif not pres.relators:
-        oracle = build_oracle("free", pres)
-    else:
-        raise ValueError("--oracle is required for presentations with relators")
-    return pres, oracle, args.presentation
+        given = [flag for file_flag, path, oracle_flag, spec in files
+                 for flag, value in ((file_flag, path), (oracle_flag, spec)) if value is not None]
+        if given:
+            raise ValueError(f"{'/'.join(given)} cannot be combined with --family")
+        if args.i is None:
+            raise ValueError("--family requires --i")
+        family = get_family(args.family)
+        try:
+            i = int(args.i)
+        except ValueError:
+            raise ValueError(f"--i {args.i!r}: {args.command} takes one integer index") from None
+        groups = [(*family.member(i), f"{family.name}[{i}]")]
+        if len(files) > 1:
+            groups.append((*family.limit(), f"{family.name}[limit]"))
+        return groups
+    if args.i is not None:
+        raise ValueError("--i requires --family")
+    groups = []
+    for file_flag, path, oracle_flag, spec in files:
+        if not path:
+            raise ValueError(f"give either {file_flag} FILE or --family NAME --i K")
+        pres = _load_presentation_file(path)
+        if not spec and pres.relators:
+            raise ValueError(f"{oracle_flag} is required for presentations with relators")
+        groups.append((pres, build_oracle(spec or "free", pres), path))
+    return groups
 
 
 def _default_length_cap(args, floor: int, pres: Presentation) -> int:
@@ -272,11 +272,11 @@ def _is_dehn_row(hit, n: int) -> bool:
 
 
 def cmd_dehn(args) -> int:
-    pres, oracle, label = _resolve_group(args)
+    [(pres, oracle, label)] = _groups(args, ("-p", args.presentation, "--oracle", args.oracle))
     radii = _parse_radii(args.n)
     length_cap = _default_length_cap(args, max(radii), pres)
     caps = Caps(length_cap, args.node_cap)
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = ResultCache(args.cache_dir)
     keys = {
         n: ResultCache.make_key(op="dehn", presentation=pres.to_text(), oracle=oracle.spec, n=n,
                                 length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
@@ -305,7 +305,7 @@ def cmd_dehn(args) -> int:
 
 
 def cmd_rel_ball(args) -> int:
-    pres, oracle, label = _resolve_group(args)
+    [(pres, oracle, label)] = _groups(args, ("-p", args.presentation, "--oracle", args.oracle))
     ball = rel_ball(pres, oracle, args.radius)
     payload = {"presentation": label, "oracle": oracle.spec, **ball.to_json(pres)}
     rows = [[word] for word in payload["members"]]
@@ -314,22 +314,9 @@ def cmd_rel_ball(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    _check_family_flags(
-        args, {"--p1": args.p1, "--oracle1": args.oracle1, "--p2": args.p2, "--oracle2": args.oracle2}
+    (pres1, oracle1, label1), (pres2, oracle2, label2) = _groups(
+        args, ("--p1", args.p1, "--oracle1", args.oracle1), ("--p2", args.p2, "--oracle2", args.oracle2)
     )
-    if args.family:
-        family, i = _family_member(args)
-        pres1, oracle1 = family.member(i)
-        pres2, oracle2 = family.limit()
-        label1, label2 = f"{family.name}[{i}]", f"{family.name}[limit]"
-    else:
-        if not (args.p1 and args.p2 and args.oracle1 and args.oracle2):
-            raise ValueError("give --p1/--oracle1/--p2/--oracle2, or --family/--i")
-        pres1 = _load_presentation_file(args.p1)
-        pres2 = _load_presentation_file(args.p2)
-        oracle1 = build_oracle(args.oracle1, pres1)
-        oracle2 = build_oracle(args.oracle2, pres2)
-        label1, label2 = args.p1, args.p2
     d = distance(pres1, oracle1, pres2, oracle2, args.lambda_max)
     payload = {"p1": label1, "p2": label2, **d.to_json()}
     _emit(args, payload, ["kind", "lambda", "display"], [[d.kind, d.lam, f"{d.display:.6g}"]])
@@ -351,11 +338,7 @@ def cmd_verify_theorem(args) -> int:
     indices = _parse_indices(args.i)
     radii = _parse_radii(args.n)
     L = max_relator_length(family.limit_pres)
-    if L is None:
-        raise ValueError(
-            f"family {family.name!r} has a free limit (no relators): L is undefined, refusing"
-        )
-    floor = max(radii + [L])
+    floor = max(radii + [L or 0])
     length_cap = _default_length_cap(args, floor, family.limit_pres)
     caps = Caps(length_cap, args.node_cap)
     with worker_pool(args.workers) as fan_out:
@@ -425,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PresentationSyntaxError, FileNotFoundError, ValueError, CosetLimitExceeded) as exc:
+    except (ValueError, OSError, CosetLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AreaNotFound, DehnComputationError) as exc:

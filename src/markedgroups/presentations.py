@@ -164,7 +164,10 @@ def parse_word(text: str, gen_names: tuple[str, ...], line: int = 1, col_base: i
     """Parse a word expression against the given marking."""
     tokens = _tokenize(text, line, col_base)
     parser = _WordParser(tokens, gen_names, line, col_base + len(text))
-    letters = parser.parse()
+    try:
+        letters = parser.parse()
+    except RecursionError:
+        raise PresentationSyntaxError("expression nested too deeply", line, col_base) from None
     if parser.pos != len(tokens):
         parser._error(f"unexpected token {tokens[parser.pos][1]!r}", tokens[parser.pos])
     return Word(len(gen_names), free_reduce(letters))

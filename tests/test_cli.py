@@ -12,8 +12,7 @@ import pytest
 
 from conftest import run_cli
 
-from markedgroups.cache import ENV_VAR
-from markedgroups.cli import build_parser
+from markedgroups.cli import build_parser, main
 from markedgroups.dehn import CorollaryReport, TheoremReport
 from markedgroups.families import FamilySpec
 
@@ -258,27 +257,14 @@ def test_cache_transparency(pres_dir, capsys):
     assert cold == warm
 
 
-def test_cache_env_var(pres_dir, capsys, monkeypatch):
-    cache_dir = pres_dir / "envcache"
-    monkeypatch.setenv(ENV_VAR, str(cache_dir))
-    code, _, _ = run_cli(["dehn", "--family", "zxz", "--i", "4", "--n", "2"], capsys)
-    assert code == 0
-    assert any(cache_dir.iterdir())
-
-
 def _no_search(pres, caps, letters):
     raise AssertionError("an area search ran")
 
 
-@pytest.mark.parametrize("via", ["option", "env"])
-def test_unusable_cache_dir_is_an_input_error(via, tmp_path, monkeypatch, capsys):
+def test_unusable_cache_dir_is_an_input_error(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file.txt"
     blocker.write_text("", encoding="utf-8")
-    argv = ["dehn", "--family", "zxz", "--i", "3", "--n", "2"]
-    if via == "option":
-        argv += ["--cache-dir", str(blocker)]
-    else:
-        monkeypatch.setenv(ENV_VAR, str(blocker))
+    argv = ["dehn", "--family", "zxz", "--i", "3", "--n", "2", "--cache-dir", str(blocker)]
     monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "_area_value", _no_search)
     assert run_cli(argv, capsys) == (
         2, "", f"error: cache directory {str(blocker)!r} is not a writable directory\n"
@@ -289,6 +275,66 @@ def test_table_format_is_default(capsys):
     code, out, _ = run_cli(["dist", "--family", "cyclicZ", "--i", "3"], capsys)
     assert code == 0
     assert out.splitlines()[0].split() == ["kind", "lambda", "display"]
+
+
+def test_dist_files_without_relators_default_to_the_free_oracle(pres_dir, capsys):
+    free = str(pres_dir / "free.pres")
+    code, out, err = run_cli(["dist", "--p1", free, "--p2", free, "--lambda-max", "4", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kind"] == "at_most"
+
+
+def _directory_as_presentation(tmp_path):
+    return ["area", "-p", str(tmp_path), "-w", "x"]
+
+
+def _directory_as_manifest(tmp_path):
+    (tmp_path / "family.json").mkdir()
+    return ["converge", "--family", str(tmp_path / "family.json"), "--i", "3"]
+
+
+def _directory_as_manifest_limit(tmp_path):
+    (tmp_path / "limit.pres").mkdir()
+    (tmp_path / "family.json").write_text(json.dumps(GOOD_MANIFEST), encoding="utf-8")
+    return ["converge", "--family", str(tmp_path / "family.json"), "--i", "3"]
+
+
+def _directory_as_cache_entry(tmp_path):
+    argv = ["dehn", "--family", "zxz", "--i", "3", "--n", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    for entry in tmp_path.iterdir():
+        entry.unlink()
+        entry.mkdir()
+    return argv
+
+
+NESTED = "(" * 600 + "x" + ")" * 600
+
+
+def _nested_word(tmp_path):
+    return ["area", "-p", str(AREA_GOLDEN / "z2.pres"), "-w", NESTED]
+
+
+def _nested_relator(tmp_path):
+    (tmp_path / "deep.pres").write_text(f"gens: x\nrels: {NESTED}\n", encoding="utf-8")
+    return ["area", "-p", str(tmp_path / "deep.pres"), "-w", "x"]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_directory_as_presentation, "Is a directory"),
+    (_directory_as_manifest, "Is a directory"),
+    (_directory_as_manifest_limit, "Is a directory"),
+    (_directory_as_cache_entry, "Is a directory"),
+    (_nested_word, "line 1, column 0: expression nested too deeply"),
+    (_nested_relator, "line 2, column 5: expression nested too deeply"),
+], ids=["presentation", "manifest", "manifest-limit", "cache-entry", "nested-word", "nested-relator"])
+def test_unreadable_paths_and_deep_nesting_are_input_errors(make_argv, message, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_dist_single_dash_aliases(pres_dir, capsys):
@@ -669,9 +715,12 @@ def test_dead_worker_is_exit_6(command, monkeypatch, capsys):
     (["dist", "--p1", str(AREA_GOLDEN / "z2.pres"), "--oracle1", "abelian:0,0",
       "--p2", str(AREA_GOLDEN / "z2.pres"), "--oracle2", "abelian:0,0", "--i", "3"],
      "--i requires --family"),
+    (["dist", "--p1", str(AREA_GOLDEN / "z2.pres"), "--p2", str(AREA_GOLDEN / "z2.pres"), "--oracle2", "abelian:0,0"],
+     "--oracle1 is required for presentations with relators"),
 ], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n", "dehn-n-negative", "dehn-n-mixed",
         "verify-theorem-n-negative", "verify-theorem-n-mixed", "dehn-family-and-p", "rel-ball-family-and-oracle",
-        "dehn-i-without-family", "dist-family-and-files", "dist-i-without-family"])
+        "dehn-i-without-family", "dist-family-and-files", "dist-i-without-family",
+        "dist-p1-without-oracle1"])
 def test_index_and_radius_parse_errors_name_the_option(argv, message, capsys):
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
 
