@@ -136,12 +136,18 @@ class Certificate:
 
     @classmethod
     def from_json(cls, pres: Presentation, data: list[dict]) -> "Certificate":
+        if not isinstance(data, list):
+            raise ValueError(f"certificate must be a list of factors, got {type(data).__name__}")
         factors = []
         for item in data:
-            u = parse_word(item["conjugator"], pres.gen_names)
+            if not (isinstance(item, dict) and isinstance(item.get("conjugator"), str)
+                    and type(item.get("relator")) is int and "sign" in item):
+                raise ValueError(f"invalid certificate entry {item!r}: expected a string "
+                                 "'conjugator', an integer 'relator' and a 'sign'")
             if item["sign"] not in ("+", "-"):
                 raise ValueError(f"invalid sign {item['sign']!r}: expected '+' or '-'")
-            factors.append((u, int(item["relator"]), 1 if item["sign"] == "+" else -1))
+            u = parse_word(item["conjugator"], pres.gen_names)
+            factors.append((u, item["relator"], 1 if item["sign"] == "+" else -1))
         return cls(tuple(factors))
 
 

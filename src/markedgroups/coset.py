@@ -5,7 +5,8 @@ action: one coset per group element, acted on by every signed generator.
 The processing order is fixed so results are reproducible: cosets are
 scanned in creation order, relators in declaration order, definitions
 fill the first undefined column, and coincidences are merged immediately
-through a FIFO queue.
+through a FIFO queue.  Enumeration completes or raises
+:class:`CosetLimitExceeded` at ``max_cosets``; there are no partial tables.
 
 References for the algorithm shape: Holt, Eick, O'Brien, "Handbook of
 Computational Group Theory", ch. 5 (relator-based enumeration).
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .presentations import Presentation
 
-__all__ = ["CayleyTable", "coset_enumerate"]
+__all__ = ["CayleyTable", "CosetLimitExceeded", "coset_enumerate"]
 
 
 def _column(letter: int) -> int:
@@ -25,41 +26,27 @@ def _column(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
-class _Overflow(Exception):
-    pass
+class CosetLimitExceeded(RuntimeError):
+    """Enumeration hit max_cosets; the group may be infinite."""
 
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """Action of signed generators on cosets; coset 0 is the identity.
-
-    ``complete`` is False when enumeration stopped at the coset limit;
-    incomplete tables cannot decide anything.
-    """
+    """Action of signed generators on cosets; coset 0 is the identity."""
 
     ngens: int
-    rows: tuple[tuple[int | None, ...], ...]
-    complete: bool
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def cosets(self) -> int:
         return len(self.rows)
 
-    def trace(self, letters: tuple[int, ...]) -> int | None:
-        """Image of coset 0 under the word, None on an undefined edge."""
-        current: int | None = 0
-        for x in letters:
-            if current is None:
-                return None
-            current = self.rows[current][_column(x)]
-        return current
-
-    def act(self, coset: int, letter: int) -> int | None:
+    def act(self, coset: int, letter: int) -> int:
         """Image of ``coset`` under one signed generator."""
         return self.rows[coset][_column(letter)]
 
     def distances(self) -> tuple[int, ...]:
-        """Length of a shortest word taking coset 0 to each coset (complete tables).
+        """Length of a shortest word taking coset 0 to each coset.
 
         One breadth-first search over the table.  In a Cayley table this
         is the word length of each element, which is also the length of a
@@ -76,9 +63,7 @@ class CayleyTable:
         return tuple(dist)
 
     def is_regular(self) -> bool:
-        """Check each generator column is a permutation (complete tables)."""
-        if not self.complete:
-            return False
+        """Check each generator column is a permutation."""
         n = len(self.rows)
         for col in range(2 * self.ngens):
             images = [row[col] for row in self.rows]
@@ -88,11 +73,10 @@ class CayleyTable:
 
 
 def coset_enumerate(pres: Presentation, max_cosets: int) -> CayleyTable:
-    """Run HLT enumeration; returns an incomplete table on overflow.
+    """Run HLT enumeration to a complete table.
 
-    Overflow (the group is too large, or infinite) is reported through
-    ``complete=False`` so callers can distinguish it from structural
-    input errors, which raise.
+    Raises :class:`CosetLimitExceeded` when the group needs more than
+    ``max_cosets`` cosets (it is too large, or infinite).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -109,7 +93,9 @@ def coset_enumerate(pres: Presentation, max_cosets: int) -> CayleyTable:
 
     def define(a: int, col: int) -> None:
         if len(table) >= max_cosets:
-            raise _Overflow
+            raise CosetLimitExceeded(
+                f"coset enumeration reached max_cosets={max_cosets}; the group may be infinite"
+            )
         table.append([None] * nletters)
         b = len(table) - 1
         parent.append(b)
@@ -165,22 +151,18 @@ def coset_enumerate(pres: Presentation, max_cosets: int) -> CayleyTable:
                 return
             define(f, cols[i])
 
-    complete = True
-    try:
-        alpha = 0
-        while alpha < len(table):
+    alpha = 0
+    while alpha < len(table):
+        if rep(alpha) == alpha:
+            for cols in relator_cols:
+                scan_and_fill(alpha, cols)
+                if rep(alpha) != alpha:
+                    break
             if rep(alpha) == alpha:
-                for cols in relator_cols:
-                    scan_and_fill(alpha, cols)
-                    if rep(alpha) != alpha:
-                        break
-                if rep(alpha) == alpha:
-                    for col in range(nletters):
-                        if table[alpha][col] is None:
-                            define(alpha, col)
-            alpha += 1
-    except _Overflow:
-        complete = False
+                for col in range(nletters):
+                    if table[alpha][col] is None:
+                        define(alpha, col)
+        alpha += 1
 
     # Compress to live cosets, renumbering in creation order, and route
     # every entry through its representative.
@@ -188,10 +170,7 @@ def coset_enumerate(pres: Presentation, max_cosets: int) -> CayleyTable:
     renumber = {old: new for new, old in enumerate(live)}
     rows = []
     for old in live:
-        row = []
-        for entry in table[old]:
-            row.append(None if entry is None else renumber[rep(entry)])
-        rows.append(tuple(row))
-    if complete and any(None in row for row in rows):
-        raise RuntimeError("enumeration terminated with an undefined entry")
-    return CayleyTable(pres.ngens, tuple(rows), complete)
+        if None in table[old]:
+            raise RuntimeError("enumeration terminated with an undefined entry")
+        rows.append(tuple(renumber[rep(entry)] for entry in table[old]))
+    return CayleyTable(pres.ngens, tuple(rows))

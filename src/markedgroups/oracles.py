@@ -23,8 +23,9 @@ automaton over the signed generators:
                              when the word read so far is trivial
 
 States are hashable.  Folding ``step`` over any word, reduced or not,
-reaches a state at distance 0 exactly when ``decide`` calls the word
-trivial.  The states, oracle by oracle: the exponent vector reduced
+reaches a state at distance 0 exactly when the word is trivial; that fold
+is the default ``decide``, the only word rule of the coset and rewriting
+oracles.  The states, oracle by oracle: the exponent vector reduced
 modulo the orders (abelian), the row index with distances from one
 breadth-first search over the table (coset), the stack normal form
 (rewriting), the reduced word (free) and the tuple of component states
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .area import AreaNotFound, Caps, Certificate, area_search
-from .coset import CayleyTable, coset_enumerate
+from .coset import CayleyTable, CosetLimitExceeded, coset_enumerate
 from .presentations import Presentation
 from .words import Word, free_reduce
 
@@ -97,10 +98,6 @@ class UnknownVerdictError(RuntimeError):
         self.oracle = oracle
 
 
-class CosetLimitExceeded(RuntimeError):
-    """Enumeration hit max_cosets; the group may be infinite."""
-
-
 class Oracle:
     """Base decider; immutable after construction, decide() is pure."""
 
@@ -108,7 +105,13 @@ class Oracle:
     soundness: str
 
     def decide(self, w: Word) -> Verdict:
-        raise NotImplementedError
+        """Fold ``step`` over ``w``: trivial iff the state ends at distance 0."""
+        state = self.start(w.ngens)
+        if state is None:
+            raise NotImplementedError
+        for x in w.letters:
+            state = self.step(state, x)
+        return TRIVIAL if self.identity_distance(state) == 0 else NONTRIVIAL
 
     def is_trivial(self, w: Word) -> bool:
         """The exact verdict on ``w``; an unknown verdict raises UnknownVerdictError."""
@@ -179,10 +182,6 @@ class CosetTableOracle(Oracle):
     """Exact for finite groups: trace words through the regular action."""
 
     def __init__(self, table: CayleyTable, spec: str | None = None):
-        if not table.complete:
-            raise CosetLimitExceeded(
-                "coset table is incomplete; raise max_cosets (the group may be infinite)"
-            )
         self.table = table
         self.distances = table.distances()
         self.spec = spec or "coset"
@@ -192,11 +191,6 @@ class CosetTableOracle(Oracle):
     def build(cls, pres: Presentation, max_cosets: int = 10000) -> "CosetTableOracle":
         table = coset_enumerate(pres, max_cosets)
         return cls(table, spec=f"coset:{max_cosets}")
-
-    def decide(self, w: Word) -> Verdict:
-        if w.ngens != self.table.ngens:
-            raise ValueError("word marking does not match the table")
-        return TRIVIAL if self.table.trace(w.letters) == 0 else NONTRIVIAL
 
     def start(self, ngens: int) -> int:
         if ngens != self.table.ngens:
@@ -216,25 +210,12 @@ class RewritingOracle(Oracle):
     The rules x^-1 -> x and xx -> 1, one pair per generator, are
     confluent and terminating, so every word has a unique normal form:
     map each letter to its generator, then cancel adjacent equal letters
-    in one stack pass.
+    in one stack pass.  The state is that stack.
     """
 
     def __init__(self) -> None:
         self.spec = "rewriting:involutions"
         self.soundness = "free products of order-2 groups (every relator a generator square)"
-
-    def normal_form(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in letters:
-            g = abs(x)
-            if out and out[-1] == g:
-                out.pop()
-            else:
-                out.append(g)
-        return tuple(out)
-
-    def decide(self, w: Word) -> Verdict:
-        return TRIVIAL if not self.normal_form(w.letters) else NONTRIVIAL
 
     def start(self, ngens: int) -> tuple[int, ...]:
         return ()
@@ -351,8 +332,30 @@ class ProductOracle(Oracle):
 
 
 def build_oracle(spec: str, pres: Presentation) -> Oracle:
-    """Construct an oracle from its spec string, against a presentation."""
+    """Construct an oracle from its spec string, against a presentation.
+
+    Refuses (ValueError) an oracle that calls a relator of ``pres``
+    nontrivial, and ``rewriting:involutions`` unless every generator
+    square is a relator.
+    """
     spec = spec.strip()
+    oracle = _from_spec(spec, pres)
+    if isinstance(oracle, RewritingOracle):
+        relators = {r.letters for r in pres.relators}
+        for g, name in enumerate(pres.gen_names, start=1):
+            if (g, g) not in relators and (-g, -g) not in relators:
+                raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
+    if not isinstance(oracle, BoundedDerivationOracle):
+        for r in pres.relators:
+            if oracle.decide(r).kind == "nontrivial":
+                raise ValueError(
+                    f"oracle spec {spec!r} calls the relator {pres.word_str(r)} nontrivial: "
+                    f"it is exact only for {oracle.soundness}"
+                )
+    return oracle
+
+
+def _from_spec(spec: str, pres: Presentation) -> Oracle:
     head, _, rest = spec.partition(":")
     if head == "abelian":
         try:
@@ -387,6 +390,10 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
                 ) from None
         else:
             length_cap, node_cap = 16, 50000
+        if length_cap < 0 or node_cap < 1:
+            raise ValueError(
+                f"oracle spec {spec!r}: derivation needs length_cap >= 0 and node_cap >= 1"
+            )
         return BoundedDerivationOracle(pres, Caps(length_cap, node_cap))
     if head == "free":
         if pres.relators:
@@ -406,7 +413,7 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
                 part.append(pres.gen_names.index(name) + 1)
             sub_names = tuple(pres.gen_names[g - 1] for g in part)
             sub_pres = Presentation(sub_names, ())
-            components.append((build_oracle(sub, sub_pres), tuple(part)))
+            components.append((_from_spec(sub.strip(), sub_pres), tuple(part)))
         return ProductOracle(tuple(components), pres.ngens)
     raise ValueError(f"unknown oracle spec {spec!r}")
 

@@ -105,6 +105,18 @@ def test_certificate_from_json_rejects_an_unknown_sign(z2, sign):
         Certificate.from_json(z2, [{"conjugator": "x", "relator": 0, "sign": sign}])
 
 
+@pytest.mark.parametrize("data, entry", [
+    ([{"conjugator": "x", "relator": 0}], "{'conjugator': 'x', 'relator': 0}"),
+    ([{"conjugator": "x", "relator": None, "sign": "+"}], "'relator': None"),
+    ({"conjugator": "x", "relator": 0, "sign": "+"}, "got dict"),
+    (["x", "y"], "entry 'x'"),
+    ([{"conjugator": 5, "relator": 0, "sign": "+"}], "'conjugator': 5"),
+], ids=["no_sign", "relator_null", "not_a_list", "list_of_strings", "conjugator_not_a_string"])
+def test_certificate_from_json_rejects_a_malformed_entry(z2, data, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        Certificate.from_json(z2, data)
+
+
 # certificate soundness and round trip
 
 def test_search_certificates_verify_everywhere(a3, z2, d3):

@@ -540,7 +540,14 @@ def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
      "oracle spec 'abelian:x': abelian takes one integer order per generator, got 'x'"),
     ("coset:abc",
      "oracle spec 'coset:abc': coset takes one integer 'max_cosets', got 'abc'"),
-], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer"])
+    ("derivation:-3,50",
+     "oracle spec 'derivation:-3,50': derivation needs length_cap >= 0 and node_cap >= 1"),
+    ("derivation:4,0",
+     "oracle spec 'derivation:4,0': derivation needs length_cap >= 0 and node_cap >= 1"),
+    ("rewriting:involutions",
+     "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
+], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer",
+        "derivation_negative_length_cap", "derivation_zero_node_cap", "rewriting_outside_its_domain"])
 def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
     code, out, err = run_cli(
         ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys

@@ -8,6 +8,8 @@ oracle behind a wrapper whose ``start`` returns None, which sends every
 walk down the word scan.
 """
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,8 +173,22 @@ def test_coset_identity_distance_is_the_word_length(i):
     pres, oracle = GROUPS[f"dihedral{i}"]
     shortest = {}
     for w in enumerate_ball(pres.ngens, i):  # the diameter of the dihedral group of order 2i
-        shortest.setdefault(oracle.table.trace(w.letters), len(w))
+        shortest.setdefault(reduce(oracle.table.act, w.letters, 0), len(w))
     assert shortest == {state: oracle.identity_distance(state) for state in range(2 * i)}
+
+
+@pytest.mark.parametrize("i", [3, 4, 5, 6])
+def test_coset_verdicts_match_the_affine_action_of_the_dihedral_group(i):
+    # a: x -> -x and b: x -> 1 - x act faithfully on Z/i; a map x -> s x + c
+    # is kept as (s, c), and a word is trivial iff it composes to (1, 0)
+    pres, oracle = GROUPS[f"dihedral{i}"]
+    maps = {1: (-1, 0), 2: (-1, 1)}
+    for w in enumerate_ball(pres.ngens, 6):
+        s, c = 1, 0
+        for x in w.letters:
+            t, d = maps[abs(x)]  # a and b are involutions
+            s, c = t * s, (t * c + d) % i
+        assert oracle.decide(w).is_trivial == ((s, c) == (1, 0)), w
 
 
 class CountingFreeOracle(FreeOracle):
