@@ -43,7 +43,6 @@ from .oracles import (
     ProductOracle,
     RewritingOracle,
     UnknownVerdictError,
-    Verdict,
     build_oracle,
 )
 from .presentations import (

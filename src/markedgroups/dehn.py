@@ -215,7 +215,7 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
 
 def quotient_check(limit_pres: Presentation, member_oracle: Oracle) -> bool:
     """True iff every limit relator is trivial in the member group."""
-    return all(member_oracle.is_trivial(r) for r in limit_pres.relators)
+    return all(member_oracle.decide(r) for r in limit_pres.relators)
 
 
 def compute_K(limit_pres: Presentation, member_pres: Presentation, caps: Caps) -> int:

@@ -117,7 +117,10 @@ def load_manifest(path: str | Path) -> FamilySpec:
     this raises ValueError naming what is wrong.
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # a JSON syntax error, or bytes that are not UTF-8
+        raise ValueError(f"manifest {path}: not valid JSON: {err}") from None
 
     def field(*keys):
         value = data
@@ -133,10 +136,9 @@ def load_manifest(path: str | Path) -> FamilySpec:
         return value
 
     name = field("name")
-    try:
-        valid_i = int(data.get("valid_i", 2))
-    except (TypeError, ValueError):
-        raise ValueError(f"manifest {path}: valid_i must be an integer") from None
+    valid_i = data.get("valid_i", 2)
+    if type(valid_i) is not int:  # bool is an int subclass, and JSON true is no integer
+        raise ValueError(f"manifest {path}: valid_i must be an integer")
     limit_file = path.parent / field("limit", "presentation")
     limit_pres = parse_presentation(limit_file.read_text(encoding="utf-8"), name=f"{name}[limit]")
     return FamilySpec(

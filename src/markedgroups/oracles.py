@@ -3,11 +3,12 @@
 Triviality of a word in a group is only semidecidable in general, so
 every decider here carries an explicit soundness domain: the class of
 presentations on which its verdicts are exact.  Using an oracle outside
-its domain is a caller error, not a silent wrong answer.  The generic
-fallback (bounded derivation search) is sound everywhere but may answer
-``unknown``; downstream consumers treat that as an error rather than
-guessing: walks ask :meth:`Oracle.is_trivial`, which returns the exact
-verdict or raises :class:`UnknownVerdictError`.
+its domain is a caller error, not a silent wrong answer.  Every oracle
+answers through :meth:`Oracle.decide`, which returns True iff the word
+is trivial; an oracle that cannot tell raises
+:class:`UnknownVerdictError` instead of guessing.  Only the generic
+fallback (bounded derivation search, sound everywhere) and a product
+with such a part can raise it.
 
 Every exact oracle except a product with an inexact part is also a state
 automaton over the signed generators:
@@ -38,20 +39,18 @@ Oracle spec strings (used by family registries, manifests and the CLI):
     rewriting:involutions    stack normal form of free products of Z/2
     derivation[:len,nodes]   bounded derivation search, semidecider
     free                     no relators: only the empty word is trivial
-    product:x=SPEC;y=SPEC    componentwise over a generator partition
+    product:x=SPEC;y=SPEC    componentwise over a generator partition, each
+                             part against the relators on its generators
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .area import AreaNotFound, Caps, Certificate, area_search
+from .area import AreaNotFound, Caps, area_search
 from .coset import CayleyTable, CosetLimitExceeded, coset_enumerate
 from .presentations import Presentation
 from .words import Word, free_reduce
 
 __all__ = [
-    "Verdict",
     "Oracle",
     "AbelianOracle",
     "CosetTableOracle",
@@ -63,27 +62,6 @@ __all__ = [
     "CosetLimitExceeded",
     "build_oracle",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Verdict:
-    """Trivial, nontrivial, or unknown with the exhausted budget."""
-
-    kind: str  # "trivial" | "nontrivial" | "unknown"
-    certificate: Certificate | None = None
-    spent: Caps | None = None
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind == "trivial"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
-
-
-TRIVIAL = Verdict("trivial")
-NONTRIVIAL = Verdict("nontrivial")
 
 
 class UnknownVerdictError(RuntimeError):
@@ -104,21 +82,14 @@ class Oracle:
     spec: str
     soundness: str
 
-    def decide(self, w: Word) -> Verdict:
+    def decide(self, w: Word) -> bool:
         """Fold ``step`` over ``w``: trivial iff the state ends at distance 0."""
         state = self.start(w.ngens)
         if state is None:
             raise NotImplementedError
         for x in w.letters:
             state = self.step(state, x)
-        return TRIVIAL if self.identity_distance(state) == 0 else NONTRIVIAL
-
-    def is_trivial(self, w: Word) -> bool:
-        """The exact verdict on ``w``; an unknown verdict raises UnknownVerdictError."""
-        verdict = self.decide(w)
-        if verdict.is_unknown:
-            raise UnknownVerdictError(w, self)
-        return verdict.is_trivial
+        return self.identity_distance(state) == 0
 
     def start(self, ngens: int):
         """State of the empty word over ``ngens`` generators; None: no automaton."""
@@ -153,14 +124,14 @@ class AbelianOracle(Oracle):
             f"generator power relators with orders {orders}"
         )
 
-    def decide(self, w: Word) -> Verdict:
+    def decide(self, w: Word) -> bool:
         if w.ngens != len(self.orders):
             raise ValueError("orders vector length does not match the word's marking")
         for j, order in enumerate(self.orders, start=1):
             total = w.exponent_sum(j)
             if (total != 0) if order == 0 else (total % order != 0):
-                return NONTRIVIAL
-        return TRIVIAL
+                return False
+        return True
 
     def start(self, ngens: int) -> tuple[int, ...]:
         if ngens != len(self.orders):
@@ -235,8 +206,8 @@ class FreeOracle(Oracle):
         self.spec = "free"
         self.soundness = "free groups (presentations with an empty relator list)"
 
-    def decide(self, w: Word) -> Verdict:
-        return TRIVIAL if not w.letters else NONTRIVIAL
+    def decide(self, w: Word) -> bool:
+        return not w.letters
 
     def start(self, ngens: int) -> tuple[int, ...]:
         return ()
@@ -252,25 +223,25 @@ class BoundedDerivationOracle(Oracle):
     """Semidecider: search for a derivation within caps.
 
     Sound for every presentation; never answers nontrivial, because the
-    search can only exhaust its budget.
+    search can only exhaust its budget, and then it raises.
     """
 
     def __init__(self, pres: Presentation, caps: Caps):
         self.pres = pres
         self.caps = caps
         self.spec = f"derivation:{caps.length_cap},{caps.node_cap}"
-        self.soundness = "any presentation; trivial verdicts carry a verified certificate"
+        self.soundness = "any presentation; a trivial verdict rests on a derivation found within the caps"
 
-    def decide(self, w: Word) -> Verdict:
+    def decide(self, w: Word) -> bool:
         if not w.letters:
-            return TRIVIAL
-        if not self.pres.relators or len(w) > self.caps.length_cap:
-            return Verdict("unknown", spent=self.caps)
-        try:
-            result = area_search(self.pres, w, self.caps.length_cap, self.caps.node_cap)
-        except AreaNotFound:
-            return Verdict("unknown", spent=self.caps)
-        return Verdict("trivial", certificate=result.certificate)
+            return True
+        if self.pres.relators and len(w) <= self.caps.length_cap:
+            try:
+                area_search(self.pres, w, self.caps.length_cap, self.caps.node_cap)
+                return True
+            except AreaNotFound:
+                pass
+        raise UnknownVerdictError(w, self)
 
 
 class ProductOracle(Oracle):
@@ -278,10 +249,12 @@ class ProductOracle(Oracle):
 
     Valid only when the group is the direct product of the subgroups
     generated by each part; each component word is the projection of the
-    input onto that part's generators.
+    input onto that part's generators.  ``gen_names`` names the
+    generators of the whole marking, so the spec round-trips.
     """
 
-    def __init__(self, components: tuple[tuple[Oracle, tuple[int, ...]], ...], ngens: int):
+    def __init__(self, components: tuple[tuple[Oracle, tuple[int, ...]], ...], gen_names: tuple[str, ...]):
+        ngens = len(gen_names)
         seen: set[int] = set()
         for _, part in components:
             for g in part:
@@ -291,31 +264,34 @@ class ProductOracle(Oracle):
         if len(seen) != ngens:
             raise ValueError("parts must cover every generator")
         self.components = components
-        # Per component: letter -> signed letter of the component's marking.
-        self.projections = tuple(
-            {x: k + 1 if x > 0 else -(k + 1) for k, g in enumerate(part) for x in (g, -g)}
-            for _, part in components
-        )
         # letter -> (component index, signed letter of the component's marking)
-        self.routes = {x: (k, index[x]) for k, index in enumerate(self.projections) for x in index}
+        self.routes = {
+            x: (k, j if x > 0 else -j)
+            for k, (_, part) in enumerate(components)
+            for j, g in enumerate(part, start=1)
+            for x in (g, -g)
+        }
         self.ngens = ngens
         self.spec = "product:" + ";".join(
-            f"{','.join(str(g) for g in part)}={oracle.spec}" for oracle, part in components
+            f"{','.join(gen_names[g - 1] for g in part)}={oracle.spec}" for oracle, part in components
         )
         self.soundness = "direct products split along the declared generator partition"
 
-    def decide(self, w: Word) -> Verdict:
+    def decide(self, w: Word) -> bool:
         if w.ngens != self.ngens:
             raise ValueError("word marking does not match the partition")
-        unknown: Verdict | None = None
-        for (oracle, part), index in zip(self.components, self.projections):
-            projected = free_reduce(index[x] for x in w.letters if x in index)
-            verdict = oracle.decide(Word(len(part), projected))
-            if verdict.kind == "nontrivial":
-                return NONTRIVIAL
-            if verdict.is_unknown:
-                unknown = verdict
-        return unknown if unknown is not None else TRIVIAL
+        routed = [self.routes[x] for x in w.letters]
+        unknown = False
+        for k, (oracle, part) in enumerate(self.components):
+            projected = free_reduce(x for j, x in routed if j == k)
+            try:
+                if not oracle.decide(Word(len(part), projected)):
+                    return False
+            except UnknownVerdictError:
+                unknown = True
+        if unknown:
+            raise UnknownVerdictError(w, self)
+        return True
 
     def start(self, ngens: int) -> tuple | None:
         if ngens != self.ngens:
@@ -345,13 +321,16 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
         for g, name in enumerate(pres.gen_names, start=1):
             if (g, g) not in relators and (-g, -g) not in relators:
                 raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
-    if not isinstance(oracle, BoundedDerivationOracle):
-        for r in pres.relators:
-            if oracle.decide(r).kind == "nontrivial":
-                raise ValueError(
-                    f"oracle spec {spec!r} calls the relator {pres.word_str(r)} nontrivial: "
-                    f"it is exact only for {oracle.soundness}"
-                )
+    for r in pres.relators:
+        try:
+            trivial = oracle.decide(r)
+        except UnknownVerdictError:
+            continue
+        if not trivial:
+            raise ValueError(
+                f"oracle spec {spec!r} calls the relator {pres.word_str(r)} nontrivial: "
+                f"it is exact only for {oracle.soundness}"
+            )
     return oracle
 
 
@@ -411,9 +390,17 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
                         f"(the presentation has {', '.join(pres.gen_names)})"
                     )
                 part.append(pres.gen_names.index(name) + 1)
-            sub_names = tuple(pres.gen_names[g - 1] for g in part)
-            sub_pres = Presentation(sub_names, ())
+            # the relators on this part's letters alone, in the part's marking
+            index = {x: j if x > 0 else -j for j, g in enumerate(part, start=1) for x in (g, -g)}
+            sub_pres = Presentation(
+                tuple(pres.gen_names[g - 1] for g in part),
+                tuple(
+                    Word(len(part), tuple(index[x] for x in r.letters))
+                    for r in pres.relators
+                    if all(x in index for x in r.letters)
+                ),
+            )
             components.append((_from_spec(sub.strip(), sub_pres), tuple(part)))
-        return ProductOracle(tuple(components), pres.ngens)
+        return ProductOracle(tuple(components), pres.gen_names)
     raise ValueError(f"unknown oracle spec {spec!r}")
 

@@ -22,7 +22,7 @@ Both walk states, not words, when the oracles are state automata (see
 
 When an oracle has no automaton (``start`` returns None), the walk
 iterates :func:`enumerate_ball` in length-lex order and asks
-:meth:`Oracle.is_trivial`, so an unknown verdict raises
+:meth:`Oracle.decide`, so an oracle that cannot tell raises
 :class:`UnknownVerdictError` at the first undecided word.
 """
 
@@ -94,13 +94,13 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
     A depth-first search over reduced prefixes that drops a prefix once
     its ``identity_distance`` exceeds the letters left.  When the oracle
     has no automaton, every word of :func:`enumerate_ball` is put to
-    :meth:`Oracle.is_trivial` in length-lex order instead.
+    :meth:`Oracle.decide` in length-lex order instead.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     state = oracle.start(ngens)
     if state is None:
-        return [w.letters for w in enumerate_ball(ngens, radius) if oracle.is_trivial(w)]
+        return [w.letters for w in enumerate_ball(ngens, radius) if oracle.decide(w)]
     step, identity_distance = oracle.step, oracle.identity_distance
     alphabet = signed_letters(ngens)
     found = []
@@ -153,7 +153,7 @@ def distance(
     state2 = None if state1 is None else oracle2.start(pres2.ngens)
     if state2 is None:
         for w in enumerate_ball(pres1.ngens, lambda_max):
-            if oracle1.is_trivial(w) != oracle2.is_trivial(w):
+            if oracle1.decide(w) != oracle2.decide(w):
                 return MarkedDistance("exact", len(w) - 1)
         return MarkedDistance("at_most", lambda_max)
     step1, step2 = oracle1.step, oracle2.step

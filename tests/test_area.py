@@ -126,7 +126,7 @@ def test_search_certificates_verify_everywhere(a3, z2, d3):
         spec = {1: "abelian:3", 2: "abelian:0,0"}[pres.ngens] if pres is not d3 else "coset:100"
         oracle = build_oracle(spec, pres)
         for w in enumerate_ball(pres.ngens, radius):
-            if oracle.decide(w).is_trivial:
+            if oracle.decide(w):
                 result = area_search(pres, w, 12, 10**6)
                 assert verify_certificate(pres, w, result.certificate)
                 assert result.value == result.certificate.size
@@ -154,7 +154,7 @@ def test_oracle_agreement_small_words(a3, z2):
     for pres, spec in ((a3, "abelian:3"), (z2, "abelian:0,0")):
         oracle = build_oracle(spec, pres)
         for w in enumerate_ball(pres.ngens, 5):
-            if oracle.decide(w).is_trivial:
+            if oracle.decide(w):
                 searched = area_search(pres, w, 12, 10**6).value
                 assert searched == area_exact_small(pres, w, 4, 4)
 
@@ -173,7 +173,7 @@ def test_symmetry_under_inversion_and_conjugation(d3):
     from markedgroups.oracles import build_oracle
 
     oracle = build_oracle("coset:100", d3)
-    words = [w for w in enumerate_ball(2, 5) if oracle.decide(w).is_trivial and len(w)]
+    words = [w for w in enumerate_ball(2, 5) if oracle.decide(w) and len(w)]
     for w in words[:20]:
         base = area_search(d3, w, 12, 10**6).value
         assert area_search(d3, w.inverse(), 12, 10**6).value == base

@@ -499,13 +499,20 @@ GOOD_MANIFEST = {
     ({**GOOD_MANIFEST, "member_template": {"presentation": "gens: x y\nrels: [x,y]; y^$j",
                                            "oracle": "abelian:0,$i"}}, "placeholder $j"),
     ({**GOOD_MANIFEST, "valid_i": None}, "valid_i must be an integer"),
+    ({**GOOD_MANIFEST, "valid_i": 2.7}, "valid_i must be an integer"),
+    ({**GOOD_MANIFEST, "valid_i": True}, "valid_i must be an integer"),
+    ({**GOOD_MANIFEST, "valid_i": "3"}, "valid_i must be an integer"),
     ({**GOOD_MANIFEST, "limit": {"presentation": 5, "oracle": "abelian:0,0"}},
      "limit.presentation must be a string"),
-], ids=["no_limit", "not_an_object", "unknown_placeholder", "valid_i_null", "not_a_string"])
+    (b'{"name": }', "bad.json: not valid JSON: Expecting value"),
+    (b'\xff{', "bad.json: not valid JSON: 'utf-8' codec can't decode"),
+], ids=["no_limit", "not_an_object", "unknown_placeholder", "valid_i_null", "valid_i_float",
+        "valid_i_bool", "valid_i_string", "not_a_string", "not_json", "not_utf8"])
 def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsys):
+    # bytes are written as they stand, anything else as its JSON text
     (tmp_path / "limit.pres").write_text("gens: x y\nrels: [x,y]\n", encoding="utf-8")
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(manifest), encoding="utf-8")
+    path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
     code, out, err = run_cli(["converge", "--family", str(path), "--i", "3"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err

@@ -4,7 +4,7 @@ from markedgroups.area import Caps
 from markedgroups.coset import coset_enumerate
 from markedgroups.dehn import quotient_check
 from markedgroups.families import builtin_families, get_family, load_manifest
-from markedgroups.oracles import BoundedDerivationOracle
+from markedgroups.oracles import BoundedDerivationOracle, UnknownVerdictError
 from markedgroups.presentations import max_relator_length
 from markedgroups.space import convergence_report
 from markedgroups.words import enumerate_ball
@@ -83,10 +83,12 @@ def test_member_oracles_agree_with_semidecider():
         semidecider = BoundedDerivationOracle(pres, Caps(8, 300))
         hits = 0
         for w in enumerate_ball(pres.ngens, 4):
-            semi = semidecider.decide(w)
-            if semi.is_trivial:
-                assert oracle.decide(w).is_trivial
-                hits += 1
+            try:
+                trivial = semidecider.decide(w)
+            except UnknownVerdictError:
+                continue
+            assert trivial and oracle.decide(w)
+            hits += 1
         assert hits > 1
 
 

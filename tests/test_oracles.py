@@ -12,9 +12,11 @@ from markedgroups.oracles import (
     CosetLimitExceeded,
     CosetTableOracle,
     RewritingOracle,
+    UnknownVerdictError,
     build_oracle,
 )
 from markedgroups.presentations import parse_presentation, parse_word
+from markedgroups.space import rel_ball
 from markedgroups.words import ball_size, enumerate_ball, make_word, shell
 
 
@@ -49,13 +51,21 @@ def leftmost_first(rules):
     return rewrite
 
 
+def verdict(oracle, w):
+    """The oracle's answer on ``w``, None when it raises UnknownVerdictError."""
+    try:
+        return oracle.decide(w)
+    except UnknownVerdictError:
+        return None
+
+
 # abelian oracle
 
 def test_abelian_examples():
     comm = make_word(2, (1, 2, -1, -2))
-    assert AbelianOracle((0, 0)).decide(comm).is_trivial
-    assert AbelianOracle((0, 5)).decide(make_word(2, (2,) * 5)).is_trivial
-    assert not AbelianOracle((0, 5)).decide(make_word(2, (1, 2, 2, 2, 2, 2))).is_trivial
+    assert AbelianOracle((0, 0)).decide(comm)
+    assert AbelianOracle((0, 5)).decide(make_word(2, (2,) * 5))
+    assert not AbelianOracle((0, 5)).decide(make_word(2, (1, 2, 2, 2, 2, 2)))
 
 
 def test_abelian_rejects_mismatched_orders():
@@ -74,7 +84,7 @@ def test_z5_enumeration_and_cross_check():
     # cross-check against the exponent-sum oracle on all words of length <= 6
     oracle, abelian = CosetTableOracle(table), AbelianOracle((5,))
     for w in enumerate_ball(1, 6):
-        assert oracle.decide(w).is_trivial == abelian.decide(w).is_trivial
+        assert oracle.decide(w) == abelian.decide(w)
 
 
 def test_d3_enumeration_against_normal_forms(d3):
@@ -129,16 +139,16 @@ def test_known_group_orders(text, order):
 
 def test_table_decide_examples(d3):
     table = coset_enumerate(d3, 100)
-    assert CosetTableOracle(table).decide(parse_word("(a b)^3", d3.gen_names)).is_trivial
-    assert not CosetTableOracle(table).decide(parse_word("a b", d3.gen_names)).is_trivial
+    assert CosetTableOracle(table).decide(parse_word("(a b)^3", d3.gen_names))
+    assert not CosetTableOracle(table).decide(parse_word("a b", d3.gen_names))
     z5 = coset_enumerate(parse_presentation("gens: a\nrels: a^5"), 100)
-    assert not CosetTableOracle(z5).decide(make_word(1, (1,) * 4)).is_trivial
+    assert not CosetTableOracle(z5).decide(make_word(1, (1,) * 4))
 
 
 def test_table_decide_every_relator(d3):
     table = coset_enumerate(d3, 100)
     for r in d3.relators:
-        assert CosetTableOracle(table).decide(r).is_trivial
+        assert CosetTableOracle(table).decide(r)
 
 
 def test_table_decide_requires_complete():
@@ -152,9 +162,9 @@ def test_table_decide_requires_complete():
 def test_dinf_rewriting_examples():
     oracle = RewritingOracle()
     assert oracle.spec == "rewriting:involutions"
-    assert oracle.decide(make_word(2, (1, 2, 2, 1))).is_trivial
-    assert not oracle.decide(make_word(2, (1, 2, 1, 2))).is_trivial
-    assert oracle.decide(make_word(2, (1, 1))).is_trivial
+    assert oracle.decide(make_word(2, (1, 2, 2, 1)))
+    assert not oracle.decide(make_word(2, (1, 2, 1, 2)))
+    assert oracle.decide(make_word(2, (1, 1)))
 
 
 @pytest.mark.parametrize("ngens", [2, 3])
@@ -213,20 +223,13 @@ def test_involution_rules_locally_confluent():
 # bounded derivation
 
 def test_bounded_derivation_examples(a3, z2):
-    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(make_word(1, (1,) * 6))
-    assert v.is_trivial and v.certificate is not None
-    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(make_word(1, (1,)))
-    assert v.is_unknown and v.spent is not None
-    v = BoundedDerivationOracle(z2, Caps(10, 10**6)).decide(parse_word("x y^2 x^-1 y^-2", z2.gen_names))
-    assert v.is_trivial
+    assert BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(make_word(1, (1,) * 6)) is True
+    oracle = BoundedDerivationOracle(a3, Caps(12, 10**5))
+    with pytest.raises(UnknownVerdictError) as err:
+        oracle.decide(make_word(1, (1,)))
+    assert err.value.word == make_word(1, (1,)) and err.value.oracle is oracle
+    assert BoundedDerivationOracle(z2, Caps(10, 10**6)).decide(parse_word("x y^2 x^-1 y^-2", z2.gen_names))
 
-
-def test_bounded_derivation_certificate_verifies(a3):
-    from markedgroups.area import verify_certificate
-
-    w = make_word(1, (1,) * 6)
-    v = BoundedDerivationOracle(a3, Caps(12, 10**5)).decide(w)
-    assert verify_certificate(a3, w, v.certificate)
 
 
 # dispatch and product oracles
@@ -234,9 +237,9 @@ def test_bounded_derivation_certificate_verifies(a3):
 def test_product_oracle_componentwise():
     p = parse_presentation("gens: x y\nrels: [x,y]; y^3")
     oracle = build_oracle("product:x=abelian:0;y=abelian:3", p)
-    assert oracle.decide(parse_word("x y^3 x^-1", p.gen_names)).is_trivial
-    assert not oracle.decide(parse_word("x y^3", p.gen_names)).is_trivial
-    assert oracle.decide(make_word(2, ())).is_trivial
+    assert oracle.decide(parse_word("x y^3 x^-1", p.gen_names))
+    assert not oracle.decide(parse_word("x y^3", p.gen_names))
+    assert oracle.decide(make_word(2, ()))
 
 
 def test_product_oracle_unsorted_partition_matches_abelian():
@@ -245,7 +248,44 @@ def test_product_oracle_unsorted_partition_matches_abelian():
     split = build_oracle("product:z,x=abelian:0,4;y=abelian:3", p)
     full = AbelianOracle((4, 3, 0))
     for w in enumerate_ball(3, 5):
-        assert split.decide(w).is_trivial == full.decide(w).is_trivial, w
+        assert split.decide(w) == full.decide(w), w
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("product:x=derivation:8,50;y=abelian:0", "gens: x y\nrels: [x,y]; x^3"),
+    ("product:z,x=abelian:0,4;y=abelian:3", "gens: x y z\nrels: [x,y]; [x,z]; [y,z]; x^4; y^3"),
+])
+def test_product_spec_names_generators_and_round_trips(spec, text):
+    pres = parse_presentation(text)
+    oracle = build_oracle(spec, pres)
+    assert oracle.spec == spec
+    assert build_oracle(oracle.spec, pres).spec == oracle.spec
+
+
+def test_product_coset_part_sees_its_own_relators():
+    # the x part is built against <x | x^3>, so its coset enumeration completes
+    pres = parse_presentation("gens: x y\nrels: [x,y]; x^3")
+    split = build_oracle("product:x=coset;y=abelian:0", pres)
+    assert split.spec == "product:x=coset:10000;y=abelian:0"
+    ball = rel_ball(pres, split, 6)
+    assert ball == rel_ball(pres, build_oracle("abelian:3,0", pres), 6)
+    assert len(ball.members) == 77
+
+
+def test_product_with_a_derivation_part_is_false_true_or_unknown():
+    # the derivation part proves x^3 from its own relator and nothing else
+    pres = parse_presentation("gens: x y\nrels: [x,y]; x^3")
+    oracle = build_oracle("product:x=derivation:8,50;y=abelian:0", pres)
+    for w in enumerate_ball(2, 4):
+        x_sum, y_sum = w.exponent_sum(1), w.exponent_sum(2)
+        if y_sum != 0:
+            assert oracle.decide(w) is False, w
+        elif x_sum % 3 == 0:
+            assert oracle.decide(w) is True, w
+        else:
+            with pytest.raises(UnknownVerdictError, match=re.escape(repr(oracle.spec))):
+                oracle.decide(w)
+    assert oracle.spec == "product:x=derivation:8,50;y=abelian:0"
 
 
 def test_product_partition_validation():
@@ -264,7 +304,7 @@ def test_any_oracle_trivial_on_identity(a3, z2, d3, dinf):
     ]
     for pres, spec in cases:
         oracle = build_oracle(spec, pres)
-        assert oracle.decide(make_word(pres.ngens, ())).is_trivial
+        assert oracle.decide(make_word(pres.ngens, ()))
 
 
 @pytest.mark.parametrize("text, spec, message", [
@@ -280,24 +320,26 @@ def test_build_oracle_refuses_an_oracle_outside_its_domain(text, spec, message):
 
 @pytest.mark.parametrize("text, spec", [
     ("gens: a b\nrels:", "abelian:0,0"),
-    ("gens: x y\nrels: [x,y]; x^3", "product:x=derivation:8,50;y=abelian:0"),
+    # caps below the length of x^3, so the x part cannot decide that relator
+    ("gens: x y\nrels: [x,y]; x^3", "product:x=derivation:2,50;y=abelian:0"),
 ], ids=["no_relator_to_contradict", "unknown_part_verdict"])
 def test_build_oracle_refuses_only_provable_contradictions(text, spec):
     pres = parse_presentation(text)
     oracle = build_oracle(spec, pres)
-    assert {oracle.decide(r).kind for r in pres.relators} <= {"trivial", "unknown"}
+    assert {verdict(oracle, r) for r in pres.relators} <= {True, None}
 
 
 def test_bounded_derivation_unknown_on_nontrivial(a3):
     oracle = build_oracle("derivation:8,1000", a3)
-    assert oracle.decide(make_word(1, (1,))).is_unknown
+    with pytest.raises(UnknownVerdictError):
+        oracle.decide(make_word(1, (1,)))
 
 
 def test_free_oracle():
     p = parse_presentation("gens: x y\nrels:")
     oracle = build_oracle("free", p)
-    assert oracle.decide(make_word(2, ())).is_trivial
-    assert not oracle.decide(make_word(2, (1,))).is_trivial
+    assert oracle.decide(make_word(2, ()))
+    assert not oracle.decide(make_word(2, (1,)))
     with pytest.raises(ValueError):
         build_oracle("free", parse_presentation("gens: x\nrels: x^2"))
 
@@ -310,7 +352,7 @@ def test_agreement_cyclic_members():
         oracle = CosetTableOracle(coset_enumerate(p, 100))
         abelian = AbelianOracle((i,))
         for w in enumerate_ball(1, 8):
-            assert oracle.decide(w).is_trivial == abelian.decide(w).is_trivial
+            assert oracle.decide(w) == abelian.decide(w)
 
 
 def test_agreement_zxz_members_abelian_vs_product():
@@ -319,21 +361,16 @@ def test_agreement_zxz_members_abelian_vs_product():
         full = build_oracle(f"abelian:0,{i}", p)
         split = build_oracle(f"product:x=abelian:0;y=abelian:{i}", p)
         for w in enumerate_ball(2, 8):
-            assert full.decide(w).is_trivial == split.decide(w).is_trivial
+            assert full.decide(w) == split.decide(w)
 
 
-def test_agreement_semidecider_never_contradicts(d3, dinf):
-    # whenever the bounded search says trivial, the exact oracle agrees;
-    # small node cap, since nontrivial words always burn the full budget
-    exact_d3 = build_oracle("coset:100", d3)
-    semi_d3 = build_oracle("derivation:8,300", d3)
-    exact_dinf = build_oracle("rewriting:involutions", dinf)
-    semi_dinf = build_oracle("derivation:8,300", dinf)
-    hits = 0
-    for w in enumerate_ball(2, 4):
-        if semi_d3.decide(w).is_trivial:
-            assert exact_d3.decide(w).is_trivial
-            hits += 1
-        if semi_dinf.decide(w).is_trivial:
-            assert exact_dinf.decide(w).is_trivial
-    assert hits > 1  # the bound is not vacuous
+def test_agreement_semidecider_never_contradicts(a3, d3, dinf):
+    # the bounded search returns True or raises, never False, and whenever
+    # it says trivial the exact oracle agrees; small node cap, since
+    # nontrivial words always burn the full budget
+    for pres, exact_spec in ((d3, "coset:100"), (dinf, "rewriting:involutions"), (a3, "abelian:3")):
+        exact, semi = build_oracle(exact_spec, pres), build_oracle("derivation:8,300", pres)
+        verdicts = {w: verdict(semi, w) for w in enumerate_ball(pres.ngens, 4)}
+        assert set(verdicts.values()) == {True, None}
+        assert all(exact.decide(w) for w, v in verdicts.items() if v)
+        assert sum(v is True for v in verdicts.values()) > 1  # the bound is not vacuous

@@ -5,7 +5,7 @@ import pytest
 from markedgroups.area import Caps
 from markedgroups.dehn import dehn, quotient_check
 from markedgroups.families import get_family
-from markedgroups.oracles import Oracle, UnknownVerdictError, Verdict, build_oracle
+from markedgroups.oracles import Oracle, UnknownVerdictError, build_oracle
 from markedgroups.presentations import parse_presentation
 from markedgroups.space import distance, rel_ball
 from markedgroups.words import ball_size, enumerate_ball, make_word
@@ -14,7 +14,7 @@ CAPS = Caps(12, 10**6)
 
 
 class RecordingOracle(Oracle):
-    """Wraps an oracle; logs (name, letters) per decide, answers unknown on one word."""
+    """Wraps an oracle; logs (name, letters) per decide, raises UnknownVerdictError on one word."""
 
     def __init__(self, inner, name, log, unknown_on=None):
         self.inner, self.name, self.log, self.unknown_on = inner, name, log, unknown_on
@@ -23,7 +23,7 @@ class RecordingOracle(Oracle):
     def decide(self, w):
         self.log.append((self.name, w.letters))
         if w.letters == self.unknown_on:
-            return Verdict("unknown")
+            raise UnknownVerdictError(w, self)
         return self.inner.decide(w)
 
 
@@ -73,8 +73,8 @@ def test_distance_exact_stops_at_the_first_differing_word():
     assert d.kind == "exact" and d.lam == 7  # (a b)^4 is the first relation the limit lacks
     words = ball_letters(2, 8)
     stop = next(k for k, letters in enumerate(words)
-                if oracle.decide(make_word(2, letters)).is_trivial
-                != limit_oracle.decide(make_word(2, letters)).is_trivial)
+                if oracle.decide(make_word(2, letters))
+                != limit_oracle.decide(make_word(2, letters)))
     assert log == [(name, letters) for letters in words[:stop + 1] for name in ("o1", "o2")]
     assert log[-1][1] == (1, 2, 1, 2, 1, 2, 1, 2)
 
