@@ -62,7 +62,11 @@ _OPTIONS = {
     "--length-cap": dict(type=int, default=None, help="max intermediate word length in area searches"),
     "--node-cap": dict(type=_positive_int, default=1_000_000, help="max states explored per area search"),
     "--lambda-max": dict(type=int, default=10, help="largest radius scanned for ball agreement"),
-    "--workers": dict(type=_positive_int, default=1, help="parallel workers for per-word area searches"),
+    "--workers": dict(
+        type=_positive_int, default=1,
+        help="worker processes for per-word area searches, started only once the command's "
+             "searches have done a fixed amount of work in process; output does not depend on it",
+    ),
 }
 
 

@@ -25,7 +25,15 @@ uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
 reports of each radius, with no search of its own.
 
 The area searches of a table run through a ``map``: the builtin one, or
-that of the one process pool a command opens with :func:`worker_pool`.
+the one :func:`worker_pool` gives a command, which runs searches in
+process until they have explored :data:`POOL_STATES` states and only
+then starts a process pool for the rest.  On a 2-core machine one
+process explores about 120-145k states/s, so the budget of 20,000
+states is about 0.15 s of searching, several times the ~20 ms a
+2-process pool costs to start and join: a command pays for a pool only
+once its own searches have shown that this cost is small against its
+work.  The budget is a count, not a time, so where a command splits,
+and every traced counter, is the same on every machine and run.
 """
 
 from __future__ import annotations
@@ -61,6 +69,10 @@ __all__ = [
 
 
 MAX_WITNESSES = 8
+
+# In-process area-search states after which worker_pool starts its pool;
+# the module docstring gives the reason for the value.
+POOL_STATES = 20_000
 
 
 class DehnComputationError(RuntimeError):
@@ -116,11 +128,13 @@ class DehnTable:
         return DehnValue(n, vmax, tuple(witnesses[:MAX_WITNESSES]))
 
 
-def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> int:
+def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> tuple[int, int]:
+    """The area of a word, -1 when the caps ran out, and the states its search explored."""
     try:
-        return area_search(pres, Word(pres.ngens, letters), caps.length_cap, caps.node_cap).value
-    except AreaNotFound:
-        return -1
+        result = area_search(pres, Word(pres.ngens, letters), caps.length_cap, caps.node_cap)
+    except AreaNotFound as exc:
+        return -1, exc.stats.states_explored
+    return result.value, result.stats.states_explored
 
 
 def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -152,22 +166,47 @@ def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tupl
 def worker_pool(workers: int):
     """A context giving the ``map`` that area searches fan out through.
 
-    For one worker that is the builtin ``map``.  Otherwise it is the
-    ``map`` of one process pool over one list ``items``, with
-    ``processes = min(workers, os.cpu_count())``, never more than the
-    CPUs, and chunks of ``max(1, len(items) // (4 * processes))`` items.
-    The pool is built through the name ``ProcessPoolExecutor`` of this
-    module and is shut down, its processes joined, when the context
-    exits.  Under the fork start method the executor starts all its
-    processes at the first ``map`` that submits work, so a pool that is
-    never used starts no process.
+    With ``processes = min(workers, os.cpu_count())`` of 1, never more
+    processes than CPUs, that is the builtin ``map``.  Otherwise it is a
+    ``map`` over one list ``items`` of a function returning ``(value,
+    states explored)`` pairs, such as the searches of :func:`dehn`.  It
+    runs the items in process, in order, until the searches it has run
+    in process in this context have explored :data:`POOL_STATES` states,
+    and sends the rest to one process pool of ``processes`` processes in
+    chunks of ``max(1, len(rest) // (4 * processes))`` items.  Results
+    come back in the order of ``items`` either way.  The pool is built
+    through the name ``ProcessPoolExecutor`` of this module, at the
+    first ``map`` that leaves it work, so a small command starts no
+    process; it is shut down, its processes joined, when the context
+    exits, on success and on error alike.
     """
-    if workers <= 1:
+    processes = min(workers, os.cpu_count() or 1)
+    if processes <= 1:
         yield map
         return
-    processes = min(workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        yield lambda fn, items: pool.map(fn, items, chunksize=max(1, len(items) // (4 * processes)))
+    states = 0
+    pool = None
+
+    def fan_out(fn, items):
+        nonlocal states, pool
+        results = []
+        for item in items:
+            if states >= POOL_STATES:
+                break
+            results.append(fn(item))
+            states += results[-1][1]
+        rest = items[len(results):]
+        if rest:
+            if pool is None:
+                pool = ProcessPoolExecutor(max_workers=processes)
+            results += pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * processes)))
+        return results
+
+    try:
+        yield fan_out
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnTable:
@@ -192,14 +231,15 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
 
     The representative searches are independent, so they run through one
     ``fan_out(search, representatives)`` call: the builtin ``map``, or
-    the ``map`` of a process pool from :func:`worker_pool`, which a
-    caller computing several tables opens once for all of them.  Results
-    come back in enumeration order, which keeps the outcome identical
-    for any worker count.
+    the ``map`` of :func:`worker_pool`, which a caller computing several
+    tables opens once for all of them.  Each search returns its value
+    and the states it explored; the table reads only the values.
+    Results come back in enumeration order, which keeps the outcome
+    identical for any worker count.
     """
     trivial = sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key)
     reps, word_orbit = _orbits(pres, trivial)
-    rep_values = list(fan_out(partial(_area_value, pres, caps), reps))
+    rep_values = [value for value, _ in fan_out(partial(_area_value, pres, caps), reps)]
     values = [rep_values[orbit] for orbit in word_orbit]
     for letters, value in zip(trivial, values):
         if value < 0:

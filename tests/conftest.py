@@ -41,6 +41,12 @@ def opened_pools(monkeypatch):
     return opened
 
 
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    """worker_pool with no in-process budget: every search of a pool map goes to the pool."""
+    monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "POOL_STATES", 0)
+
+
 def run_cli(argv, capsys):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     from markedgroups.cli import main

@@ -645,7 +645,7 @@ POOL_COMMANDS = {
 
 @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
 @pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
-def test_one_pool_per_command(command, workers, pools, opened_pools, tmp_path, capsys):
+def test_one_pool_per_command(command, workers, pools, opened_pools, pool_at_once, tmp_path, capsys):
     code, _, err = run_cli(
         [*POOL_COMMANDS[command], "--workers", workers, "--cache-dir", str(tmp_path)], capsys
     )
@@ -659,28 +659,50 @@ def test_cache_hit_dehn_starts_no_process(opened_pools, started_processes, tmp_p
     assert started_processes == []
     warm = run_cli([*argv, "--workers", "2"], capsys)
     assert warm == cold
-    assert len(opened_pools) == 1 and started_processes == []
+    assert len(opened_pools) == 0 and started_processes == []
 
 
 def test_workers_beyond_the_cpu_count_build_a_pool_of_cpu_count(
-    monkeypatch, opened_pools, started_processes, capsys
+    monkeypatch, opened_pools, pool_at_once, started_processes, capsys
 ):
-    # radius 0 has no nonempty trivial word, so the pool is built but
-    # submits nothing and no process starts
+    # a pool is built only when it gets work, so radius 3; under fork
+    # the pool starts all its processes at its first search
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, _, err = run_cli(["dehn", "--family", "zxz", "--i", "3", "--n", "0", "--workers", "64"], capsys)
+    code, _, err = run_cli(["dehn", "--family", "zxz", "--i", "3", "--n", "3", "--workers", "64"], capsys)
     assert (code, err) == (0, "")
     assert [pool._max_workers for pool in opened_pools] == [2]
-    assert started_processes == []
+    assert len(started_processes) == 2
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("argv, fixture", [
+def test_one_cpu_builds_no_pool(monkeypatch, opened_pools, pool_at_once, started_processes, capsys):
+    argv = ["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6"]
+    expected = run_cli([*argv, "--workers", "1"], capsys)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_cli([*argv, "--workers", "4"], capsys) == expected
+    assert opened_pools == [] and started_processes == []
+
+
+def test_small_harness_runs_in_process(opened_pools, started_processes, capsys):
+    # the default budget covers every search of this run
+    code, out, err = run_cli(
+        ["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "dihedral_6_n4-6_w2.txt").read_text(encoding="utf-8")
+    assert opened_pools == [] and started_processes == []
+
+
+WORKER_GOLDENS = pytest.mark.parametrize("argv, fixture", [
     (["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6"], "dihedral_6_n4-6_w2.txt"),
     (["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"],
      "zxz_3-6_n2-4.json"),
     (["dehn", "--family", "zxz", "--i", "3", "--n", "4,6,8", "--format", "json"],
      "dehn_zxz_3_n4-6-8.json"),
 ], ids=["verify-theorem-dihedral", "verify-theorem-zxz", "dehn-zxz"])
+
+
+@WORKER_GOLDENS
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, capsys):
     code, out, err = run_cli([*argv, "--workers", workers], capsys)
@@ -688,8 +710,18 @@ def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, capsys):
     assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
 
 
+@WORKER_GOLDENS
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_report_bytes_do_not_depend_on_the_pool_budget(argv, fixture, workers, opened_pools, pool_at_once, capsys):
+    code, out, err = run_cli([*argv, "--workers", workers], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
+    assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
-def test_failed_search_leaves_no_worker_running(command, opened_pools, started_processes, capsys):
+def test_failed_search_leaves_no_worker_running(command, opened_pools, pool_at_once, started_processes, capsys):
     code, out, err = run_cli([*POOL_COMMANDS[command], "--node-cap", "3", "--workers", "2"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("not found: area search exhausted caps") and err.count("\n") == 1
@@ -698,7 +730,7 @@ def test_failed_search_leaves_no_worker_running(command, opened_pools, started_p
 
 
 @pytest.mark.parametrize("command", sorted(POOL_COMMANDS))
-def test_dead_worker_is_exit_6(command, monkeypatch, capsys):
+def test_dead_worker_is_exit_6(command, monkeypatch, pool_at_once, capsys):
     # under fork the workers inherit the patched search
     monkeypatch.setattr(importlib.import_module("markedgroups.dehn"), "_area_value", _exit_worker)
     code, out, err = run_cli([*POOL_COMMANDS[command], "--workers", "2"], capsys)

@@ -4,12 +4,14 @@ import multiprocessing
 
 import pytest
 
-from markedgroups.area import Caps, area_exact_small
+from markedgroups.area import Caps, area_exact_small, area_search
 from markedgroups.dehn import (
     MAX_WITNESSES,
     DehnComputationError,
     DehnValue,
     TheoremReport,
+    _area_value,
+    _orbits,
     compute_K,
     corollary_check,
     dehn,
@@ -21,7 +23,8 @@ from markedgroups.dehn import (
 from markedgroups.families import builtin_families
 from markedgroups.oracles import UnknownVerdictError, build_oracle
 from markedgroups.presentations import parse_presentation
-from markedgroups.words import make_word
+from markedgroups.space import trivial_letters
+from markedgroups.words import letters_key, make_word
 
 CAPS = Caps(14, 10**6)
 
@@ -280,7 +283,7 @@ def test_corollary_single_member_matches_theorem():
 
 # worker pools
 
-def test_worker_pool_starts_processes_at_the_first_search(z2, opened_pools):
+def test_worker_pool_starts_processes_at_the_first_search(z2, opened_pools, pool_at_once):
     oracle = build_oracle("abelian:0,0", z2)
     with worker_pool(1) as fan_out:
         assert fan_out is map
@@ -294,7 +297,7 @@ def test_worker_pool_starts_processes_at_the_first_search(z2, opened_pools):
     assert multiprocessing.active_children() == []
 
 
-def test_dehn_uses_the_callers_pool(z2, opened_pools):
+def test_dehn_uses_the_callers_pool(z2, opened_pools, pool_at_once):
     oracle = build_oracle("abelian:0,0", z2)
     with worker_pool(2) as fan_out:
         tables = [dehn(z2, oracle, n, CAPS, fan_out) for n in (4, 6)]
@@ -304,8 +307,46 @@ def test_dehn_uses_the_callers_pool(z2, opened_pools):
     assert multiprocessing.active_children() == []
 
 
+IN_PROCESS = []
+
+
+def _recorded_search(pres, w, length_cap, node_cap):
+    """area_search that records, in the process it runs in, the words it searches."""
+    IN_PROCESS.append(w.letters)
+    return area_search(pres, w, length_cap, node_cap)
+
+
+def _prefix(states, budget):
+    """How many searches run in process: up to the first whose states reach the budget."""
+    return next((k for k in range(len(states) + 1) if sum(states[:k]) >= budget), len(states))
+
+
+@pytest.mark.parametrize("budget", ["zero", "half", "default"])
+@pytest.mark.parametrize("group", ["z2", "dihedral"])
+def test_worker_pool_runs_searches_in_process_up_to_the_budget(group, budget, z2, monkeypatch, opened_pools):
+    dehn_module = importlib.import_module("markedgroups.dehn")
+    pres, oracle = (z2, build_oracle("abelian:0,0", z2)) if group == "z2" else fam("dihedral").member(5)
+    serial = dehn(pres, oracle, 6, CAPS)
+    reps, _ = _orbits(pres, sorted(filter(None, trivial_letters(oracle, pres.ngens, 6)), key=letters_key))
+    states = [_area_value(pres, CAPS, letters)[1] for letters in reps]
+    limit = {"zero": 0, "half": sum(states) // 2, "default": dehn_module.POOL_STATES}[budget]
+    monkeypatch.setattr(dehn_module, "POOL_STATES", limit)
+    # under fork the pool workers record into their own copies of IN_PROCESS
+    monkeypatch.setattr(dehn_module, "area_search", _recorded_search)
+    IN_PROCESS.clear()
+    with worker_pool(2) as fan_out:
+        # two tables in one context share one count and one pool
+        assert [dehn(pres, oracle, 6, CAPS, fan_out) for _ in range(2)] == [serial, serial]
+    first = _prefix(states, limit)
+    second = _prefix(states, limit - sum(states[:first]))
+    assert IN_PROCESS == reps[:first] + reps[:second]
+    assert (budget == "default") == (first == second == len(reps))
+    assert len(opened_pools) == (second < len(reps))
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (3, 1)])
-def test_verify_family_opens_at_most_one_pool(workers, pools, opened_pools):
+def test_verify_family_opens_at_most_one_pool(workers, pools, opened_pools, pool_at_once):
     serial = verify_family(fam("zxz"), (3, 4, 5, 6), (2, 4), CAPS)
     assert opened_pools == []
     with worker_pool(workers) as fan_out:
