@@ -29,7 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache
-from .dehn import DehnComputationError, dehn, verify_family, worker_pool
+from .dehn import POOL_STATES, DehnComputationError, dehn, verify_family, worker_pool
 from .families import get_family
 from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
 from .presentations import (
@@ -65,7 +65,7 @@ _OPTIONS = {
     "--workers": dict(
         type=_positive_int, default=1,
         help="worker processes for per-word area searches, started only once the command's "
-             "searches have done a fixed amount of work in process; output does not depend on it",
+             f"searches have explored {POOL_STATES:,} states in process; output does not depend on it",
     ),
 }
 

@@ -27,13 +27,19 @@ reports of each radius, with no search of its own.
 The area searches of a table run through a ``map``: the builtin one, or
 the one :func:`worker_pool` gives a command, which runs searches in
 process until they have explored :data:`POOL_STATES` states and only
-then starts a process pool for the rest.  On a 2-core machine one
-process explores about 120-145k states/s, so the budget of 20,000
-states is about 0.15 s of searching, several times the ~20 ms a
-2-process pool costs to start and join: a command pays for a pool only
-once its own searches have shown that this cost is small against its
-work.  The budget is a count, not a time, so where a command splits,
-and every traced counter, is the same on every machine and run.
+then starts a process pool for the rest.  The budget sits where a
+2-process pool starts to pay.  On 2 cores a pool costs a command about
+25 ms to start, feed and join (`verify-theorem` on zxz, 42 states: 8 ms
+in process, 32 ms with a pool), and one process explores about
+100-145k states/s.  So 10,000 states is about 80 ms on one core: a
+command below it is no slower in process (the 5,212 states of
+`verify-theorem` on dihedral i = 6 take 44 ms in process, 75 ms with a
+pool), and a command above it has run at most the budget plus the one
+search that crosses it (up to the node cap) on one core, which a
+2-process pool would at best have run in half the time: about 40 ms
+plus half that search.  The budget is a count, not a time, so where a
+command splits, and every traced counter, is the same on every machine
+and run.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ MAX_WITNESSES = 8
 
 # In-process area-search states after which worker_pool starts its pool;
 # the module docstring gives the reason for the value.
-POOL_STATES = 20_000
+POOL_STATES = 10_000
 
 
 class DehnComputationError(RuntimeError):
@@ -168,11 +174,13 @@ def worker_pool(workers: int):
 
     With ``processes = min(workers, os.cpu_count())`` of 1, never more
     processes than CPUs, that is the builtin ``map``.  Otherwise it is a
-    ``map`` over one list ``items`` of a function returning ``(value,
-    states explored)`` pairs, such as the searches of :func:`dehn`.  It
-    runs the items in process, in order, until the searches it has run
-    in process in this context have explored :data:`POOL_STATES` states,
-    and sends the rest to one process pool of ``processes`` processes in
+    ``map`` made for the searches of :func:`dehn`, not a general one: it
+    takes a list ``items`` and a function returning ``(value, states
+    explored)`` pairs.  It runs the items in process, in order, until the
+    searches it has run in process in this context have explored
+    :data:`POOL_STATES` states, so at most that many plus those of the
+    one search that crosses the budget, and sends the rest to one
+    process pool of ``processes`` processes in
     chunks of ``max(1, len(rest) // (4 * processes))`` items.  Results
     come back in the order of ``items`` either way.  The pool is built
     through the name ``ProcessPoolExecutor`` of this module, at the

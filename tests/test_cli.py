@@ -683,16 +683,6 @@ def test_one_cpu_builds_no_pool(monkeypatch, opened_pools, pool_at_once, started
     assert opened_pools == [] and started_processes == []
 
 
-def test_small_harness_runs_in_process(opened_pools, started_processes, capsys):
-    # the default budget covers every search of this run
-    code, out, err = run_cli(
-        ["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"], capsys
-    )
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / "dihedral_6_n4-6_w2.txt").read_text(encoding="utf-8")
-    assert opened_pools == [] and started_processes == []
-
-
 WORKER_GOLDENS = pytest.mark.parametrize("argv, fixture", [
     (["verify-theorem", "--family", "dihedral", "--i", "6", "--n", "4,6"], "dihedral_6_n4-6_w2.txt"),
     (["verify-theorem", "--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"],
@@ -704,10 +694,13 @@ WORKER_GOLDENS = pytest.mark.parametrize("argv, fixture", [
 
 @WORKER_GOLDENS
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
-def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, capsys):
+def test_report_bytes_do_not_depend_on_workers(argv, fixture, workers, opened_pools, started_processes, capsys):
     code, out, err = run_cli([*argv, "--workers", workers], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
+    # at the default budget only the dehn run, 103k states, crosses into a pool
+    assert len(opened_pools) == (workers != "1" and argv[0] == "dehn")
+    assert (started_processes == []) == (opened_pools == [])
 
 
 @WORKER_GOLDENS

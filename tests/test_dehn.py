@@ -340,7 +340,8 @@ def test_worker_pool_runs_searches_in_process_up_to_the_budget(group, budget, z2
     first = _prefix(states, limit)
     second = _prefix(states, limit - sum(states[:first]))
     assert IN_PROCESS == reps[:first] + reps[:second]
-    assert (budget == "default") == (first == second == len(reps))
+    # one table fits in the default budget; the second of dihedral crosses it
+    assert (budget == "default") == (first == len(reps))
     assert len(opened_pools) == (second < len(reps))
     assert multiprocessing.active_children() == []
 
