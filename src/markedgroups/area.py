@@ -220,20 +220,20 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
         upper = _upper_bound(target, length_cap, node_cap, tables, move_strs)
 
     # Breadth-first over splices; unit costs, so the first time the
-    # identity is generated its depth is minimal.  Each visited state
-    # records (parent, move, position) for certificate reconstruction.
-    # node_cap bounds the number of distinct states kept, so it also
-    # bounds the memory of the parents map.  With an upper bound, a new
-    # state at depth d is dropped when d + h > upper.  A successor's h is
-    # its parent's plus or minus one, and a kept parent has depth + h <=
-    # upper, so only "tight" parents, whose successors would exceed upper
-    # at plus one, drop any: those whose move winds its cell away from 0.
+    # identity is generated its depth is minimal.  parents, the one
+    # record of the pass, maps each reached word to (parent, move,
+    # position): its size is the state count, and "" among its keys ends
+    # the search.  A non-empty word is refused once node_cap words are
+    # kept; the identity is always admitted, so node_cap + 1 may be.
+    # With an upper bound, a new state at depth d is dropped when d + h >
+    # upper.  A successor's h is its parent's plus or minus one, and a
+    # kept parent has depth + h <= upper, so only "tight" parents, whose
+    # successors would exceed upper at plus one, drop any: those whose
+    # move winds its cell away from 0.
     parents: dict[str, tuple[str, int, int] | None] = {target: None}
     frontier = [target]
-    explored = 1
     depth = 0
-    goal_entry = None
-    while frontier and goal_entry is None:
+    while frontier and "" not in parents:
         depth += 1
         next_frontier = []
         for state in frontier:
@@ -243,46 +243,37 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
                 if depth + h > upper - 1:
                     drop = (winding.cells, winds, corners)
             for mi, pos, nxt in _successors(state, length_cap, tables, move_strs, parents, drop):
-                if not nxt:
-                    goal_entry = (state, mi, pos)
-                    parents[nxt] = goal_entry
-                    explored += 1
-                    break
-                if explored >= node_cap:
-                    raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
+                if nxt and len(parents) >= node_cap:
+                    raise AreaNotFound(w, caps, SearchStats(len(parents), length_cap))
                 parents[nxt] = (state, mi, pos)
-                explored += 1
+                if not nxt:
+                    break
                 next_frontier.append(nxt)
-            if goal_entry is not None:
+            if "" in parents:
                 break
         # length-lex: the stable sort by length keeps the code order within a length
         next_frontier.sort()
         next_frontier.sort(key=len)
         frontier = next_frontier
 
-    stats = SearchStats(explored, length_cap)
-    if goal_entry is None:
+    stats = SearchStats(len(parents), length_cap)
+    if "" not in parents:
         raise AreaNotFound(w, caps, stats)
 
-    # Walk parents from the identity back to the word; reversing gives
-    # the splice steps in application order.
-    steps: list[tuple[str, int, int]] = []
+    # Walk parents from the identity back to the word, one factor per
+    # splice; reversing gives them in application order.
+    factors = []
     node = ""
     while parents[node] is not None:
-        par, mi, pos = parents[node]
-        steps.append((par, mi, pos))
-        node = par
-    steps.reverse()
-
-    factors = []
-    for before, mi, pos in steps:
+        node, mi, pos = parents[node]
         _, rel_idx, sign, rot = moves[mi]
         rel = pres.relators[rel_idx].letters
         rho = rel if sign == 1 else invert_letters(rel)
         # Splicing rot_t(rho) at position p of v inserts the factor
         # (v[:p] * rho[:t]^-1) rho^-1 (...)^-1 into the derivation.
-        conj = free_reduce(str_to_letters(before[:pos]) + invert_letters(rho[:rot]))
+        conj = free_reduce(str_to_letters(node[:pos]) + invert_letters(rho[:rot]))
         factors.append((Word(pres.ngens, conj), rel_idx, -sign))
+    factors.reverse()
     cert = Certificate(tuple(factors))
     if not verify_certificate(pres, w, cert):
         raise RuntimeError("internal error: reconstructed certificate failed verification")

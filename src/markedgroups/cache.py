@@ -50,7 +50,7 @@ class ResultCache:
             return None
         try:
             return json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # RecursionError: nested too deeply to decode
             return None
 
     def put(self, key: str, payload) -> None:

@@ -119,7 +119,7 @@ def load_manifest(path: str | Path) -> FamilySpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # a JSON syntax error, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as err:  # bad syntax or UTF-8, or nested too deeply
         raise ValueError(f"manifest {path}: not valid JSON: {err}") from None
 
     def field(*keys):

@@ -35,7 +35,8 @@ breadth-first search over the table (coset), the stack normal form
 Oracle spec strings (used by family registries, manifests and the CLI):
 
     abelian:0,5              exponent sums, 0 meaning infinite order
-    coset[:max_cosets]       complete coset table (finite groups)
+    coset[:max_cosets]       complete coset table (finite groups), of at
+                             most 10000 cosets unless given
     rewriting:involutions    stack normal form of free products of Z/2
     derivation[:len,nodes]   bounded derivation search, semidecider
     free                     no relators: only the empty word is trivial
@@ -159,7 +160,7 @@ class CosetTableOracle(Oracle):
         self.soundness = f"the finite group with {table.cosets} elements given by its presentation"
 
     @classmethod
-    def build(cls, pres: Presentation, max_cosets: int = 10000) -> "CosetTableOracle":
+    def build(cls, pres: Presentation, max_cosets: int) -> "CosetTableOracle":
         table = coset_enumerate(pres, max_cosets)
         return cls(table, spec=f"coset:{max_cosets}")
 

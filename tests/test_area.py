@@ -74,6 +74,19 @@ def test_node_cap_exhaustion_raises(d3):
         area_search(d3, w, 12, 3)
 
 
+def test_node_cap_admits_the_identity_beyond_the_cap(a3):
+    # a^6 -> a^3 -> "" keeps 3 words before the identity; the identity,
+    # which ends the search, is admitted past the cap, a fourth word is not
+    w = make_word(1, (1,) * 6)
+    free = area_search(a3, w, 10, 10**5)
+    at_cap = area_search(a3, w, 10, 3)
+    assert (at_cap.value, at_cap.certificate) == (2, free.certificate)
+    assert at_cap.stats.states_explored == 4
+    with pytest.raises(AreaNotFound) as info:
+        area_search(a3, w, 10, 2)
+    assert info.value.stats.states_explored == 2
+
+
 # verify_certificate
 
 def test_verify_examples(a3):

@@ -376,6 +376,7 @@ DAMAGE = {
     "empty_object": lambda text: "{}",
     "other_n": lambda text: json.dumps({"n": 2, "value": 0, "exact": True, "witnesses": []}),
     "exact_false": lambda text: text.replace('"exact": true', '"exact": false'),
+    "deep": lambda text: "[" * 100000 + "]" * 100000,  # too deep for the JSON decoder
 }
 
 
@@ -506,8 +507,9 @@ GOOD_MANIFEST = {
      "limit.presentation must be a string"),
     (b'{"name": }', "bad.json: not valid JSON: Expecting value"),
     (b'\xff{', "bad.json: not valid JSON: 'utf-8' codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "bad.json: not valid JSON: maximum recursion depth exceeded"),
 ], ids=["no_limit", "not_an_object", "unknown_placeholder", "valid_i_null", "valid_i_float",
-        "valid_i_bool", "valid_i_string", "not_a_string", "not_json", "not_utf8"])
+        "valid_i_bool", "valid_i_string", "not_a_string", "not_json", "not_utf8", "deep"])
 def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsys):
     # bytes are written as they stand, anything else as its JSON text
     (tmp_path / "limit.pres").write_text("gens: x y\nrels: [x,y]\n", encoding="utf-8")
