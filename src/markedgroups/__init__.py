@@ -66,4 +66,4 @@ from .words import (
     word_to_str,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -29,11 +29,11 @@ the one :func:`worker_pool` gives a command, which runs searches in
 process until they have explored :data:`POOL_STATES` states and only
 then starts a process pool for the rest.  The budget sits where a
 2-process pool starts to pay.  On 2 cores a pool costs a command about
-25 ms to start, feed and join (`verify-theorem` on zxz, 42 states: 8 ms
-in process, 32 ms with a pool), and one process explores about
+25 ms to start, feed and join (`verify-theorem` on zxz, 42 states: 11
+ms in process, 37 ms with a pool), and one process explores about
 100-145k states/s.  So 10,000 states is about 80 ms on one core: a
-command below it is no slower in process (the 5,212 states of
-`verify-theorem` on dihedral i = 6 take 44 ms in process, 75 ms with a
+command below it is no slower in process (the 1,959 states of
+`verify-theorem` on dihedral i = 6 take 27 ms in process, 57 ms with a
 pool), and a command above it has run at most the budget plus the one
 search that crosses it (up to the node cap) on one core, which a
 2-process pool would at best have run in half the time: about 40 ms
@@ -54,7 +54,7 @@ from itertools import groupby, islice
 
 from .area import AreaNotFound, Caps, area_search
 from .oracles import Oracle
-from .presentations import Presentation, apply_symmetry, max_relator_length, splice_symmetries
+from .presentations import Presentation, _cyclic_reduce, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance, trivial_letters
 from .words import Word, letters_key, letters_to_str, signed_letters, str_to_letters
 
@@ -144,28 +144,37 @@ def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> tup
 
 
 def _orbits(pres: Presentation, words: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Representatives of the symmetry orbits of ``words``, and each word's orbit index.
+    """Representatives of the classes of ``words``, and each word's class index.
 
-    A representative is the length-lex least image of a word or of its
-    inverse under the splice symmetries; representatives are listed in
-    first-seen order.  Words are compared as their
-    :func:`~markedgroups.words.letters_to_str` codes, which all have the
-    word's length, so the least code is the length-lex least word.  Each
-    symmetry is a ``str.translate`` table on codes, and so is letter
-    inversion, applied to the reversed code.
+    ``words`` must be freely reduced and nonempty, so that each has a
+    nonempty cyclic core: the word with its cancelling ends stripped.  A
+    word's class is the set of images of its core under the splice
+    symmetries, inversion and rotation, which all keep the true area.
+    The representative is the length-lex least member of the class;
+    representatives are listed in first-seen order.  Words are compared
+    as their :func:`~markedgroups.words.letters_to_str` codes, which all
+    have the core's length, so the least code is the length-lex least
+    word.  Each symmetry is a ``str.translate`` table on codes, and so is
+    letter inversion, applied to the reversed code.  A class is built
+    once, when its first core appears, and every member is entered in one
+    dict, so every other word costs one end strip and one lookup.
     """
     letters = signed_letters(pres.ngens)
     codes = letters_to_str(letters)
     invert = str.maketrans(codes, letters_to_str(tuple(-x for x in letters)))
     tables = [str.maketrans(codes, letters_to_str(apply_symmetry(sym, letters))) for sym in splice_symmetries(pres)]
-    orbit_index: dict[str, int] = {}
+    reps: list[str] = []
+    core_orbit: dict[str, int] = {}
     word_orbit = []
     for w in words:
-        code = letters_to_str(w)
-        inverse = code[::-1].translate(invert)
-        key = min(v.translate(table) for table in tables for v in (code, inverse))
-        word_orbit.append(orbit_index.setdefault(key, len(orbit_index)))
-    return list(map(str_to_letters, orbit_index)), word_orbit
+        core = letters_to_str(_cyclic_reduce(w))
+        if core not in core_orbit:
+            images = {v.translate(table) for table in tables for v in (core, core[::-1].translate(invert))}
+            members = {image[r:] + image[:r] for image in images for r in range(len(core))}
+            reps.append(min(members))
+            core_orbit.update(dict.fromkeys(members, len(reps) - 1))
+        word_orbit.append(core_orbit[core])
+    return list(map(str_to_letters, reps)), word_orbit
 
 
 @contextmanager
@@ -227,15 +236,18 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
     caps do not depend on the radius, so that entry is the one a table
     computed at the smaller radius would give.
 
-    Areas are searched once per symmetry orbit of trivial words.  Word
-    inversion and every signed generator permutation that maps the
-    symmetrized relators onto themselves (:func:`splice_symmetries`) map
-    the splice graph onto itself and keep word lengths, so all members of
-    an orbit have the same cap-restricted area; each word reads its value
-    from the orbit's length-lex least member.  ``caps.node_cap`` bounds
-    the search of that representative: orbit members have isomorphic
-    splice graphs, so their searches can differ only inside the final
-    breadth-first level.
+    Areas are searched once per class of trivial words (see
+    :func:`_orbits`): a word's class is that of its cyclic core under
+    rotation, word inversion and every signed generator permutation that
+    maps the symmetrized relators onto themselves
+    (:func:`splice_symmetries`).  None of these changes the true area
+    (Bridson, *The geometry of the word problem*, 2002), so a word's value
+    is the capped area of its class representative, the class's
+    length-lex least member: ``caps``, ``caps.node_cap`` included, bound
+    that representative's search, not the word's own.  Under caps this
+    is a rule, not a theorem: a conjugate u c u^-1 needs 2|u| more length
+    than c on the way, so where the length cap binds, a word's own search
+    could find a larger capped area than its representative's, or none.
 
     The representative searches are independent, so they run through one
     ``fan_out(search, representatives)`` call: the builtin ``map``, or

@@ -323,7 +323,7 @@ def symmetrize(pres: Presentation) -> tuple[tuple[tuple[int, ...], int, int, int
     return tuple((mv, *origin[mv]) for mv in sorted(origin, key=letters_key))
 
 
-# Bounds the maps tried per word in a Dehn sweep; all 384 signed permutations
+# Bounds the maps tried per class in a Dehn sweep; all 384 signed permutations
 # of four generators fit.  See splice_symmetries.
 _SYMMETRY_LIMIT = 1024
 

@@ -398,6 +398,24 @@ def test_damaged_cache_entry_is_a_miss(damage, pres_dir, capsys):
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
+def test_row_cached_under_an_older_version_is_a_miss(pres_dir, capsys, monkeypatch):
+    # 0.1.0 valued each word by its own symmetry orbit, not its class
+    cache_dir = pres_dir / "cache"
+    argv = ["dehn", "--family", "zxz", "--i", "4", "--n", "4", "--format", "json"]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("markedgroups.cli"), "__version__", "0.1.0")
+        assert run_cli([*argv, "--cache-dir", str(cache_dir)], capsys)[0] == 0
+    (old,) = cache_dir.iterdir()
+    row = json.loads(old.read_text(encoding="utf-8"))
+    old.write_text(json.dumps({**row, "value": row["value"] + 1}), encoding="utf-8")
+    code, warm, err = run_cli([*argv, "--cache-dir", str(cache_dir)], capsys)
+    assert (code, err) == (0, "")
+    assert warm == cold
+    assert len(list(cache_dir.iterdir())) == 2
+
+
 @pytest.mark.parametrize("command", [
     ["dehn", "--family", "zxz", "--i", "3"],
     ["verify-theorem", "--family", "dihedral", "--i", "3"],
@@ -413,6 +431,9 @@ def test_empty_radius_list_is_an_input_error(command, capsys):
     (["--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "json"], "zxz_3-6_n2-4.json"),
     (["--family", "zxz", "--i", "3..6", "--n", "2,4", "--format", "csv"], "zxz_3-6_n2-4.csv"),
     (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"], "dihedral_6_n4-6_w2.txt"),
+    # K_i = 2: members <x, y | y^i, [x,y] y^i> of Z x Z/i converging to Z^2
+    (["--family", str(REPO / "tests" / "data" / "families" / "zxz_k2.json"), "--i", "3..6", "--n", "2,4,6",
+      "--format", "json"], "zxzK2_3-6_n2-4-6.json"),
 ])
 def test_verify_theorem_matches_golden_report(args, fixture, capsys):
     # fixtures were captured before values were reused across reports; reuse must not show

@@ -326,8 +326,10 @@ def _prefix(states, budget):
 def test_worker_pool_runs_searches_in_process_up_to_the_budget(group, budget, z2, monkeypatch, opened_pools):
     dehn_module = importlib.import_module("markedgroups.dehn")
     pres, oracle = (z2, build_oracle("abelian:0,0", z2)) if group == "z2" else fam("dihedral").member(5)
-    serial = dehn(pres, oracle, 6, CAPS)
-    reps, _ = _orbits(pres, sorted(filter(None, trivial_letters(oracle, pres.ngens, 6)), key=letters_key))
+    # radii at which half the budget splits a table and the default budget fits one
+    n = {"z2": 8, "dihedral": 6}[group]
+    serial = dehn(pres, oracle, n, CAPS)
+    reps, _ = _orbits(pres, sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key))
     states = [_area_value(pres, CAPS, letters)[1] for letters in reps]
     limit = {"zero": 0, "half": sum(states) // 2, "default": dehn_module.POOL_STATES}[budget]
     monkeypatch.setattr(dehn_module, "POOL_STATES", limit)
@@ -336,11 +338,11 @@ def test_worker_pool_runs_searches_in_process_up_to_the_budget(group, budget, z2
     IN_PROCESS.clear()
     with worker_pool(2) as fan_out:
         # two tables in one context share one count and one pool
-        assert [dehn(pres, oracle, 6, CAPS, fan_out) for _ in range(2)] == [serial, serial]
+        assert [dehn(pres, oracle, n, CAPS, fan_out) for _ in range(2)] == [serial, serial]
     first = _prefix(states, limit)
     second = _prefix(states, limit - sum(states[:first]))
     assert IN_PROCESS == reps[:first] + reps[:second]
-    # one table fits in the default budget; the second of dihedral crosses it
+    # one table fits in the default budget
     assert (budget == "default") == (first == len(reps))
     assert len(opened_pools) == (second < len(reps))
     assert multiprocessing.active_children() == []

@@ -1,9 +1,10 @@
-"""Orbit-reduced Dehn sweeps against the per-word reference.
+"""Class-reduced Dehn sweeps against the per-word reference.
 
-``dehn`` runs one area search per symmetry orbit of trivial words (word
-inversion plus the signed generator permutations that map the
-symmetrized relators onto themselves).  The reference below runs one
-search per trivial word, as the sweep did before the reduction.
+``dehn`` runs one area search per class of trivial words: a word's class
+is that of its cyclic core under rotation, word inversion and the signed
+generator permutations that map the symmetrized relators onto
+themselves.  The reference below runs one search per trivial word, as
+the sweep did before the reduction.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from markedgroups.area import AreaNotFound, Caps, area_search
-from markedgroups.dehn import DehnComputationError, DehnValue, _orbits, dehn, worker_pool
+from markedgroups.dehn import DehnComputationError, DehnValue, _area_value, _orbits, dehn, worker_pool
 from markedgroups.families import get_family
 from markedgroups.oracles import build_oracle
 from markedgroups.presentations import (
@@ -24,6 +25,7 @@ from markedgroups.presentations import (
     splice_symmetries,
     symmetrize,
 )
+from markedgroups.space import trivial_letters
 from markedgroups.words import Word, free_reduce, invert_letters, letters_key, shell, signed_letters
 
 A3_PRES = (Path(__file__).parent / "data" / "a3.pres").read_text(encoding="utf-8")
@@ -116,7 +118,7 @@ def test_one_search_per_orbit(monkeypatch):
         assert len(set(searched)) == len(searched)
         counts.append(len(searched))
     # 8, 48 and 360 trivial words of positive length
-    assert counts == [1, 4, 29]
+    assert counts == [1, 2, 9]
 
 
 def _moves(pres):
@@ -218,16 +220,42 @@ def test_orbit_members_have_equal_area(case):
         assert _area(pres, apply_symmetry(sym, letters), caps) == value, (name, sym)
 
 
-# Property: the code-string orbit keys of dehn._orbits give the orbits of
-# the tuple keys they replaced.
+# Property: a word's class value, the capped area of its class
+# representative, is the capped area of the word itself, on every test
+# group (each has an exact oracle) at n <= 6 and length caps n to n + 4.
+
+@pytest.mark.parametrize("name", GROUPS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 4))
+def test_class_value_is_the_words_own_area(name, n, extra):
+    pres, oracle = _group(name)
+    caps = Caps(n + extra, 10**6)
+    words = sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key)
+    reps, word_orbit = _orbits(pres, words)
+    rep_values = [_area_value(pres, caps, rep)[0] for rep in reps]
+    for letters, orbit in zip(words, word_orbit):
+        assert rep_values[orbit] == _area_value(pres, caps, letters)[0], (name, caps, letters)
+
+
+# Property: the code-string class keys of dehn._orbits give the classes of
+# tuple keys on letters.
 
 def letter_key(x):
     """Reference letter order as (generator index, sign) pairs."""
     return (x, 0) if x > 0 else (-x, 1)
 
 
+def cyclic_core(w):
+    """The word with its cancelling ends stripped."""
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
 def reference_orbits(pres, words):
-    """Orbits keyed by tuples of (index, sign) pairs, one per image letter."""
+    """Classes keyed by tuples of (index, sign) pairs: the least image of
+    the cyclic core under every symmetry, both orientations and every
+    rotation."""
     letters = signed_letters(pres.ngens)
     key_maps = [
         dict(zip(letters, map(letter_key, apply_symmetry(sym, letters))))
@@ -236,8 +264,11 @@ def reference_orbits(pres, words):
     orbit_index = {}
     word_orbit = []
     for w in words:
-        inverse = invert_letters(w)
-        key = min(tuple(map(keys.__getitem__, v)) for keys in key_maps for v in (w, inverse))
+        core = cyclic_core(w)
+        key = min(
+            tuple(map(keys.__getitem__, v[r:] + v[:r]))
+            for keys in key_maps for v in (core, invert_letters(core)) for r in range(len(core))
+        )
         word_orbit.append(orbit_index.setdefault(key, len(orbit_index)))
     return [tuple(g if s == 0 else -g for g, s in key) for key in orbit_index], word_orbit
 
@@ -253,14 +284,21 @@ def _pres(name):
 
 @st.composite
 def trivial_word_lists(draw):
-    """A group and a shuffled list of trivial words, each next to an image under a symmetry."""
+    """A group and a shuffled list of nonempty trivial words, each next to a
+    conjugate of a rotated image of its core under a symmetry."""
     name = draw(st.sampled_from(ORBIT_GROUPS))
     pres = _pres(name)
     symmetries = splice_symmetries(pres)
+    letter = st.sampled_from(signed_letters(pres.ngens))
     words = []
     for letters in draw(st.lists(conjugate_products(pres), max_size=12)):
-        image = apply_symmetry(draw(st.sampled_from(symmetries)), letters)
-        words += [letters, invert_letters(image) if draw(st.booleans()) else image]
+        if not letters:
+            continue
+        image = cyclic_core(apply_symmetry(draw(st.sampled_from(symmetries)), letters))
+        image = invert_letters(image) if draw(st.booleans()) else image
+        r = draw(st.integers(0, len(image) - 1))
+        u = draw(st.lists(letter, max_size=2))
+        words += [letters, free_reduce(tuple(u) + image[r:] + image[:r] + invert_letters(tuple(u)))]
     return name, pres, draw(st.permutations(words))
 
 
