@@ -58,7 +58,6 @@ from .words import (
     Word,
     ball_size,
     conjugate,
-    cyclic_permutations,
     enumerate_ball,
     free_reduce,
     make_word,

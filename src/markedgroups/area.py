@@ -108,8 +108,10 @@ class Caps(NamedTuple):
 @dataclass(frozen=True)
 class SearchStats:
     """``states_explored`` counts every distinct word the breadth-first
-    pass kept (the start word included), which also bounds its memory;
-    words the winding bound drops are not counted."""
+    pass kept, the start word included; the empty word is never searched
+    and reports 0.  Words the winding bound drops are not counted.
+    ``node_cap``, not this count, bounds the words kept, so the pass may
+    hold up to ``node_cap`` words of up to ``length_cap`` letters each."""
 
     states_explored: int
     length_cap: int

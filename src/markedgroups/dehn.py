@@ -86,8 +86,8 @@ class DehnComputationError(RuntimeError):
 
     def __init__(self, word: Word, pres: Presentation, caps: Caps):
         super().__init__(
-            f"area search exhausted caps {caps} on the trivial word "
-            f"{pres.word_str(word)!r}; raise --length-cap/--node-cap"
+            f"area search exhausted caps (length {caps.length_cap}, nodes {caps.node_cap}) "
+            f"on the trivial word {pres.word_str(word)!r}; raise --length-cap/--node-cap"
         )
         self.word = word
 

@@ -159,11 +159,6 @@ class CosetTableOracle(Oracle):
         self.spec = spec or "coset"
         self.soundness = f"the finite group with {table.cosets} elements given by its presentation"
 
-    @classmethod
-    def build(cls, pres: Presentation, max_cosets: int) -> "CosetTableOracle":
-        table = coset_enumerate(pres, max_cosets)
-        return cls(table, spec=f"coset:{max_cosets}")
-
     def start(self, ngens: int) -> int:
         if ngens != self.table.ngens:
             raise ValueError("word marking does not match the table")
@@ -354,7 +349,7 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
             raise ValueError(
                 f"oracle spec {spec!r}: coset takes one integer 'max_cosets', got {rest!r}"
             ) from None
-        return CosetTableOracle.build(pres, max_cosets)
+        return CosetTableOracle(coset_enumerate(pres, max_cosets), spec=f"coset:{max_cosets}")
     if head == "rewriting":
         if rest != "involutions":
             raise ValueError(f"unknown rewriting system {rest!r}")

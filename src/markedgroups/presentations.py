@@ -156,7 +156,12 @@ class _WordParser:
             if k == 0:
                 self._error("zero exponent is not allowed", power_tok)
             base = atom if k > 0 else list(invert_letters(tuple(atom)))
-            atom = base * abs(k)
+            try:
+                atom = base * abs(k)
+            except (OverflowError, MemoryError):
+                # Python refuses a count past an index, or a list past the
+                # address space, before it allocates anything
+                self._error("exponent too large to expand", power_tok)
         return prefix + atom
 
 
@@ -243,11 +248,6 @@ class Presentation:
         """Canonical file form; parses back to an equal presentation."""
         rels = "; ".join(self.word_str(r) for r in self.relators)
         return f"gens: {' '.join(self.gen_names)}\nrels: {rels}\n"
-
-    def __str__(self) -> str:
-        label = self.name or "presentation"
-        rels = ", ".join(self.word_str(r) for r in self.relators) or "-"
-        return f"{label}<{' '.join(self.gen_names)} | {rels}>"
 
 
 def parse_presentation(text: str, name: str | None = None) -> Presentation:

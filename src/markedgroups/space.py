@@ -52,14 +52,11 @@ class RelationBall:
     radius: int
     members: frozenset[Word]
 
-    def sorted_members(self) -> list[Word]:
-        return sorted(self.members, key=Word.sort_key)
-
     def to_json(self, pres: Presentation) -> dict:
         return {
             "lambda": self.radius,
             "count": len(self.members),
-            "members": [pres.word_str(w) for w in self.sorted_members()],
+            "members": [pres.word_str(w) for w in sorted(self.members, key=Word.sort_key)],
         }
 
 
@@ -142,7 +139,8 @@ def distance(
     first length with a differing word.  With two automata that is a
     breadth-first search over (state1, state2, last letter); one ``seen``
     set serves all lengths, since a triple met again later leads to
-    nothing new.  Otherwise the ball is scanned in length-lex order and
+    nothing new, and an empty level ends the search early with the same
+    "at_most" answer.  Otherwise the ball is scanned in length-lex order and
     each word is put to ``oracle1`` first.
     """
     if pres1.ngens != pres2.ngens:
@@ -176,6 +174,8 @@ def distance(
                 if min(d1, d2) <= room and triple not in seen:
                     seen.add(triple)
                     following.append(triple)
+        if not following:
+            break
         level = following
     return MarkedDistance("at_most", lambda_max)
 

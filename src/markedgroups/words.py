@@ -24,7 +24,6 @@ __all__ = [
     "make_word",
     "free_reduce",
     "conjugate",
-    "cyclic_permutations",
     "enumerate_ball",
     "shell",
     "ball_size",
@@ -134,9 +133,6 @@ class Word:
     def sort_key(self) -> tuple:
         return letters_key(self.letters)
 
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __mul__(self, other: "Word") -> "Word":
         if self.ngens != other.ngens:
             raise ValueError("cannot multiply words over different markings")
@@ -144,10 +140,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(self.ngens, invert_letters(self.letters))
-
-    def __pow__(self, k: int) -> "Word":
-        base = self.letters if k >= 0 else invert_letters(self.letters)
-        return Word(self.ngens, free_reduce(base * abs(k)))
 
     def exponent_sum(self, gen: int) -> int:
         """Signed number of occurrences of generator ``gen`` (1-based)."""
@@ -172,14 +164,6 @@ def conjugate(u: Word, w: Word) -> Word:
     if u.ngens != w.ngens:
         raise ValueError("cannot conjugate words over different markings")
     return Word(u.ngens, free_reduce(u.letters + w.letters + invert_letters(u.letters)))
-
-
-def cyclic_permutations(w: Word) -> set[Word]:
-    """All rotations of a cyclically reduced word, deduplicated."""
-    if not w.is_cyclically_reduced:
-        raise ValueError("word is not cyclically reduced")
-    ls = w.letters
-    return {Word(w.ngens, ls[t:] + ls[:t]) for t in range(max(1, len(ls)))}
 
 
 def shell(ngens: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -56,12 +56,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_subprocess(argv):
-    """Invoke the CLI as a child process; returns (exit_code, stdout_bytes)."""
+def run_cli_subprocess(argv, timeout=None):
+    """Invoke the CLI as a child process; returns (exit_code, stdout_bytes).
+
+    Raises ``subprocess.TimeoutExpired`` after ``timeout`` seconds.
+    """
     import subprocess
 
     proc = subprocess.run(
         [sys.executable, "-m", "markedgroups", *argv],
         capture_output=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout

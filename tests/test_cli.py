@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_cli_subprocess
 
 from markedgroups.cli import build_parser, main
 from markedgroups.dehn import CorollaryReport, TheoremReport
@@ -58,6 +58,22 @@ def test_area_parse_error_exit_code(pres_dir, capsys):
     code, _, err = run_cli(["area", "-p", str(pres_dir / "broken.pres"), "-w", "x"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("word, column", [("x^99999999999999999999", 2), ("(x y)^4611686018427387904", 6)])
+def test_power_too_large_to_expand_exits_2(pres_dir, word, column, capsys):
+    code, out, err = run_cli(["area", "-p", str(pres_dir / "z2.pres"), "-w", word], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1, column {column}: exponent too large to expand\n"
+
+
+def test_relator_power_too_large_to_expand_exits_2(tmp_path, capsys):
+    (tmp_path / "big.pres").write_text("gens: x\nrels: x^99999999999999999999\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["rel-ball", "-p", str(tmp_path / "big.pres"), "--oracle", "abelian:0", "--radius", "2"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, column 8: exponent too large to expand\n"
 
 
 @pytest.mark.parametrize("word, fmt, fixture", [
@@ -170,6 +186,20 @@ def test_dist_same_file_is_upper_bound(pres_dir, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["kind"] == "at_most" and data["lambda"] == 6
+
+
+def test_dist_ends_at_the_first_empty_level(pres_dir):
+    # the six (state, state, letter) triples of A3 against itself are all
+    # met by length 3, so level 4 is empty and the search stops there
+    a3 = str(pres_dir / "a3.pres")
+    code, out = run_cli_subprocess(
+        ["dist", "--p1", a3, "--oracle1", "abelian:3", "--p2", a3, "--oracle2", "coset",
+         "--lambda-max", "1000000000000", "--format", "json"],
+        timeout=60,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "at_most" and data["lambda"] == 10**12
 
 
 def test_dist_dihedral(capsys):
@@ -743,6 +773,17 @@ def test_failed_search_leaves_no_worker_running(command, opened_pools, pool_at_o
     assert err.startswith("not found: area search exhausted caps") and err.count("\n") == 1
     assert len(opened_pools) == 1 and started_processes != []
     assert multiprocessing.active_children() == []
+
+
+def test_exhausted_caps_are_written_as_numbers(capsys):
+    code, out, err = run_cli(
+        ["verify-theorem", "--family", "dihedral", "--i", "3", "--n", "2", "--node-cap", "1"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "not found: area search exhausted caps (length 6, nodes 1) on the trivial word 'a^2'; "
+        "raise --length-cap/--node-cap\n"
+    )
 
 
 @pytest.mark.parametrize("command", sorted(POOL_COMMANDS))

@@ -104,6 +104,29 @@ def test_word_grammar_rejects_unknowns():
         parse_word("(x", ("x", "y"))
 
 
+# 2^63 = 2 * 2^62 letters is past any list index on a 64-bit build, and
+# 2 * (2^62 - 1) is past the address space: Python refuses both before it
+# allocates anything, as it does a count of 10^20 even for the empty word.
+@pytest.mark.parametrize("text, column", [
+    ("x^99999999999999999999", 2),
+    ("y x^-99999999999999999999", 4),
+    ("(x y)^4611686018427387904", 6),
+    ("(x y)^4611686018427387903", 6),
+    ("1^99999999999999999999", 2),
+])
+def test_power_too_large_to_expand_is_a_syntax_error(text, column):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_word(text, ("x", "y"))
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).endswith("exponent too large to expand")
+
+
+def test_relator_power_too_large_to_expand_is_a_syntax_error():
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation("gens: x\nrels: x^99999999999999999999")
+    assert (err.value.line, err.value.column) == (2, 8)
+
+
 def test_symmetrize_single_power():
     p = parse_presentation("gens: a\nrels: a^3")
     moves = symmetrize(p)

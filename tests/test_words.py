@@ -9,7 +9,6 @@ from markedgroups.words import (
     _splice,
     ball_size,
     conjugate,
-    cyclic_permutations,
     enumerate_ball,
     free_reduce,
     letters_key,
@@ -103,21 +102,6 @@ def test_group_laws_randomized():
         assert u * e == u and e * u == u
         assert (u * u.inverse()).letters == ()
         assert len(conjugate(u, w)) <= 2 * len(u) + len(w)
-
-
-def test_cyclic_permutations():
-    comm = make_word(2, (1, 2, -1, -2))
-    rots = cyclic_permutations(comm)
-    assert len(rots) == 4
-    assert comm in rots
-    assert make_word(2, (2, -1, -2, 1)) in rots
-    assert cyclic_permutations(make_word(1, (1, 1, 1))) == {make_word(1, (1, 1, 1))}
-    assert {w.letters for w in cyclic_permutations(make_word(2, (1, 2)))} == {(1, 2), (2, 1)}
-
-
-def test_cyclic_permutations_requires_cyclically_reduced():
-    with pytest.raises(ValueError):
-        cyclic_permutations(make_word(2, (1, 2, -1)))
 
 
 def test_ball_m1():
