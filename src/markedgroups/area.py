@@ -431,7 +431,7 @@ class _Winding:
         # and the cells next to it stay within length_cap / 2 + 1
         self.stride = stride = length_cap + 4
         self.nplanes = count = len(planes)
-        self.codes = [(chr(2 * i - 1), chr(2 * i), chr(2 * j - 1), chr(2 * j)) for i, j in planes]
+        self.codes = [tuple(letters_to_str((i, -i, j, -j))) for i, j in planes]
         index = {plane: k for k, plane in enumerate(planes)}
         self.cells = []
         for (x, y, *_), *_ in moves:

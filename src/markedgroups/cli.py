@@ -142,6 +142,8 @@ def _parse_indices(text: str) -> list[int]:
             indices = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"--i {text!r}: expected an integer or a range A..B") from None
+    except OverflowError:
+        raise ValueError(f"--i {text!r}: the range is too long to list") from None
     if not indices:
         raise ValueError(f"--i {text!r} selects no index; give a range lo..hi with lo <= hi or a list")
     return indices

@@ -2,8 +2,15 @@
 
 Triviality of a word in a group is only semidecidable in general, so
 every decider here carries an explicit soundness domain: the class of
-presentations on which its verdicts are exact.  Using an oracle outside
-its domain is a caller error, not a silent wrong answer.  Every oracle
+presentations on which its verdicts are exact.  :func:`build_oracle`
+refuses an oracle it can show is outside that domain, for a top-level
+spec and a product part alike: one that calls a relator nontrivial, or
+one whose kind's own precondition fails (every generator square a
+relator for ``rewriting``, no relators for ``free``, one order per
+generator for ``abelian``; these raise ValueError), or a ``coset``
+enumeration that does not complete (:class:`CosetLimitExceeded`).  It
+looks no further: ``abelian:0,0`` on two generators without relators is
+built, and calls their commutator trivial.  Every oracle
 answers through :meth:`Oracle.decide`, which returns True iff the word
 is trivial; an oracle that cannot tell raises
 :class:`UnknownVerdictError` instead of guessing.  Only the generic
@@ -306,17 +313,12 @@ class ProductOracle(Oracle):
 def build_oracle(spec: str, pres: Presentation) -> Oracle:
     """Construct an oracle from its spec string, against a presentation.
 
-    Refuses (ValueError) an oracle that calls a relator of ``pres``
-    nontrivial, and ``rewriting:involutions`` unless every generator
-    square is a relator.
+    Each spec branch, a product part's included, first refuses its
+    kind's unmet precondition (see the module doc); then an oracle that
+    calls a relator of ``pres`` nontrivial is refused (ValueError).
     """
     spec = spec.strip()
     oracle = _from_spec(spec, pres)
-    if isinstance(oracle, RewritingOracle):
-        relators = {r.letters for r in pres.relators}
-        for g, name in enumerate(pres.gen_names, start=1):
-            if (g, g) not in relators and (-g, -g) not in relators:
-                raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
     for r in pres.relators:
         try:
             trivial = oracle.decide(r)
@@ -353,6 +355,10 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
     if head == "rewriting":
         if rest != "involutions":
             raise ValueError(f"unknown rewriting system {rest!r}")
+        relators = {r.letters for r in pres.relators}
+        for g, name in enumerate(pres.gen_names, start=1):
+            if (g, g) not in relators and (-g, -g) not in relators:
+                raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
         return RewritingOracle()
     if head == "derivation":
         if rest:

@@ -16,8 +16,10 @@ Word grammar, shared by relators and command-line word arguments:
 * ``[u,v]`` is the commutator ``u v u^-1 v^-1``;
 * ``1`` is the identity.
 
-Relators are freely and cyclically reduced on construction, duplicates
-are dropped, and a relator that reduces to the empty word is rejected.
+:func:`parse_presentation` reduces relators freely and cyclically, drops
+duplicates, and rejects a relator that reduces to the empty word;
+:class:`Presentation` refuses a relator that is empty, not cyclically
+reduced or a duplicate.
 """
 
 from __future__ import annotations
@@ -222,25 +224,6 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.gen_names)
 
-    @classmethod
-    def make(
-        cls,
-        gen_names: tuple[str, ...] | list[str],
-        relators,
-        name: str | None = None,
-    ) -> "Presentation":
-        """Canonicalize raw relator words: cyclically reduce, dedupe."""
-        canonical: list[Word] = []
-        seen: set[Word] = set()
-        for r in relators:
-            reduced = Word(len(gen_names), _cyclic_reduce(free_reduce(r.letters)))
-            if not reduced.letters:
-                raise ValueError("relator reduces to the empty word")
-            if reduced not in seen:
-                seen.add(reduced)
-                canonical.append(reduced)
-        return cls(tuple(gen_names), tuple(canonical), name)
-
     def word_str(self, w: Word) -> str:
         return word_to_str(w, self.gen_names)
 
@@ -290,8 +273,8 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
             raise PresentationSyntaxError(
                 "relator reduces to the empty word", rel_lineno, start + len(chunk) - len(chunk.lstrip())
             )
-        relators.append(w)
-    return Presentation.make(names, relators, name)
+        relators.append(Word(len(names), _cyclic_reduce(w.letters)))
+    return Presentation(names, tuple(dict.fromkeys(relators)), name)
 
 
 def max_relator_length(pres: Presentation) -> int | None:

@@ -10,12 +10,14 @@ lambda_max", reported as an upper bound on the distance.
 Both walk states, not words, when the oracles are state automata (see
 :mod:`markedgroups.oracles`):
 
-- :func:`distance` runs a breadth-first search by length over triples
-  (state1, state2, last letter) and stops at the first length where
-  exactly one side is the identity.  A triple is dropped once
-  min(d1, d2) exceeds the letters left, where d is the oracle's
-  ``identity_distance``: no extension of it can reach the identity on
-  either side within lambda_max, so none can make the sides differ.
+- :func:`distance` runs a breadth-first search by length over pairs
+  (state1, state2) and stops at the first length where exactly one
+  side is the identity.  Each pair is expanded once, from the letter
+  that first reached it, which it does not step back over.  A pair is
+  dropped once min(d1, d2) exceeds the letters left, where d is the
+  oracle's ``identity_distance``: no extension of it can reach the
+  identity on either side within lambda_max, so none can make the
+  sides differ.
 - :func:`rel_ball`, and ``dehn`` through :func:`trivial_letters`, run a
   depth-first search over reduced prefixes and drop a prefix once its
   ``identity_distance`` exceeds the letters left.
@@ -137,11 +139,12 @@ def distance(
     Two balls of the same radius are equal iff every word of that length
     gets the same verdict from both sides, so the search can stop at the
     first length with a differing word.  With two automata that is a
-    breadth-first search over (state1, state2, last letter); one ``seen``
-    set serves all lengths, since a triple met again later leads to
-    nothing new, and an empty level ends the search early with the same
-    "at_most" answer.  Otherwise the ball is scanned in length-lex order and
-    each word is put to ``oracle1`` first.
+    breadth-first search over (state1, state2); one ``seen`` set serves
+    all lengths, since words that reach one pair have the same futures.
+    A level entry keeps the letter that first reached its pair, so the
+    immediate backtrack is skipped.  An empty level ends the search
+    early with the same "at_most" answer.  Otherwise the ball is scanned
+    in length-lex order and each word is put to ``oracle1`` first.
     """
     if pres1.ngens != pres2.ngens:
         raise ValueError("marked groups live in different spaces (generator counts differ)")
@@ -158,7 +161,7 @@ def distance(
     distance1, distance2 = oracle1.identity_distance, oracle2.identity_distance
     alphabet = signed_letters(pres1.ngens)
     level = [(state1, state2, 0)]
-    seen = set(level)
+    seen = {(state1, state2)}
     for length in range(1, lambda_max + 1):
         room = lambda_max - length
         following = []
@@ -170,10 +173,9 @@ def distance(
                 d1, d2 = distance1(t1), distance2(t2)
                 if (d1 == 0) != (d2 == 0):
                     return MarkedDistance("exact", length - 1)
-                triple = (t1, t2, x)
-                if min(d1, d2) <= room and triple not in seen:
-                    seen.add(triple)
-                    following.append(triple)
+                if min(d1, d2) <= room and (t1, t2) not in seen:
+                    seen.add((t1, t2))
+                    following.append((t1, t2, x))
         if not following:
             break
         level = following

@@ -606,8 +606,11 @@ def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
      "oracle spec 'derivation:4,0': derivation needs length_cap >= 0 and node_cap >= 1"),
     ("rewriting:involutions",
      "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
+    ("product:x=rewriting:involutions;y=abelian:0",
+     "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
 ], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer",
-        "derivation_negative_length_cap", "derivation_zero_node_cap", "rewriting_outside_its_domain"])
+        "derivation_negative_length_cap", "derivation_zero_node_cap", "rewriting_outside_its_domain",
+        "rewriting_product_part_outside_its_domain"])
 def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
     code, out, err = run_cli(
         ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys
@@ -798,6 +801,10 @@ def test_dead_worker_is_exit_6(command, monkeypatch, pool_at_once, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--family", "zxz", "--i", "a..5"], "--i 'a..5': expected an integer or a range A..B"),
+    (["converge", "--family", "zxz", "--i", "3..99999999999999999999"],
+     "--i '3..99999999999999999999': the range is too long to list"),
+    (["verify-theorem", "--family", "zxz", "--i", "3..99999999999999999999", "--n", "2"],
+     "--i '3..99999999999999999999': the range is too long to list"),
     (["verify-theorem", "--family", "zxz", "--i", "3,x", "--n", "2"],
      "--i '3,x': expected an integer or a range A..B"),
     (["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2,x"],
@@ -820,8 +827,8 @@ def test_dead_worker_is_exit_6(command, monkeypatch, pool_at_once, capsys):
      "--i requires --family"),
     (["dist", "--p1", str(AREA_GOLDEN / "z2.pres"), "--p2", str(AREA_GOLDEN / "z2.pres"), "--oracle2", "abelian:0,0"],
      "--oracle1 is required for presentations with relators"),
-], ids=["converge-i", "verify-theorem-i", "verify-theorem-n", "dehn-n", "dehn-n-negative", "dehn-n-mixed",
-        "verify-theorem-n-negative", "verify-theorem-n-mixed", "dehn-family-and-p", "rel-ball-family-and-oracle",
+], ids=["converge-i", "converge-i-overflow", "verify-theorem-i-overflow", "verify-theorem-i", "verify-theorem-n",
+        "dehn-n", "dehn-n-negative", "dehn-n-mixed", "verify-theorem-n-negative", "verify-theorem-n-mixed", "dehn-family-and-p", "rel-ball-family-and-oracle",
         "dehn-i-without-family", "dist-family-and-files", "dist-i-without-family",
         "dist-p1-without-oracle1"])
 def test_index_and_radius_parse_errors_name_the_option(argv, message, capsys):

@@ -211,6 +211,36 @@ def test_distance_prune_bounds_the_steps_of_free_against_free():
     assert counter[0] <= 2 * 4 * ball_size(2, 6)
 
 
+class CountingOracle(Oracle):
+    """The wrapped oracle's automaton, counting the steps taken."""
+
+    def __init__(self, inner):
+        self.inner, self.steps = inner, 0
+        self.spec, self.soundness = inner.spec, inner.soundness
+
+    def start(self, ngens):
+        return self.inner.start(ngens)
+
+    def step(self, state, letter):
+        self.steps += 1
+        return self.inner.step(state, letter)
+
+    def identity_distance(self, state):
+        return self.inner.identity_distance(state)
+
+
+def test_distance_expands_each_state_pair_once():
+    # expanding a pair once per last letter that reaches it takes 2,346
+    # member steps here
+    family = get_family("dihedral")
+    member_pres, member_oracle = family.member(50)
+    limit_pres, limit_oracle = family.limit()
+    member = CountingOracle(member_oracle)
+    d = distance(member_pres, member, limit_pres, limit_oracle, 120)
+    assert d.kind == "exact" and d.lam == 99
+    assert member.steps <= 594
+
+
 def _mismatched_oracles():
     a3 = parse_presentation("gens: a\nrels: a^3")
     return [

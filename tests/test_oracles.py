@@ -308,13 +308,18 @@ def test_any_oracle_trivial_on_identity(a3, z2, d3, dinf):
 
 
 @pytest.mark.parametrize("text, spec, message", [
-    ("gens: a b\nrels: a^2; b^2", "abelian:0,0", "calls the relator a^2 nontrivial"),
-    ("gens: a b c\nrels: a^2; b^2", "rewriting:involutions", "needs the relator c^2"),
+    ("gens: a b\nrels: a^2; b^2", "abelian:0,0", "oracle spec 'abelian:0,0' calls the relator a^2 nontrivial"),
+    ("gens: a b c\nrels: a^2; b^2", "rewriting:involutions",
+     "oracle spec 'rewriting:involutions' needs the relator c^2"),
     ("gens: a b\nrels: a^2; b^2; a b a^-1 b^-1", "rewriting:involutions",
-     "calls the relator a b a^-1 b^-1 nontrivial"),
-], ids=["abelian_on_involutions", "rewriting_missing_a_square", "rewriting_on_a_commutator"])
+     "oracle spec 'rewriting:involutions' calls the relator a b a^-1 b^-1 nontrivial"),
+    # a part is checked against the relators on its own generators
+    ("gens: a b\nrels: [a,b]; b^2", "product:a=rewriting:involutions;b=abelian:2",
+     "oracle spec 'rewriting:involutions' needs the relator a^2"),
+], ids=["abelian_on_involutions", "rewriting_missing_a_square", "rewriting_on_a_commutator",
+        "rewriting_product_part_missing_a_square"])
 def test_build_oracle_refuses_an_oracle_outside_its_domain(text, spec, message):
-    with pytest.raises(ValueError, match=re.escape(f"oracle spec {spec!r} {message}")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         build_oracle(spec, parse_presentation(text))
 
 
