@@ -61,9 +61,10 @@ exceeds U.  Every word on the goal's parent chain has depth + h <=
 area <= U, its first parent is kept too, and the kept words stay in
 their order, so the value and certificate are those of the unpruned
 search.  ``states_explored`` counts the words the breadth-first pass
-kept, so it is smaller than unpruned, and a search that used to run
-out of ``node_cap`` may now find its value.  Every other presentation,
-and every word with a nonzero exponent sum, is searched unpruned.
+kept, so it is smaller than unpruned, and the pruned search can find a
+value that an unpruned one would run out of ``node_cap`` before
+reaching.  Every other presentation, and every word with a nonzero
+exponent sum, is searched unpruned.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ presentations on which its verdicts are exact.  :func:`build_oracle`
 refuses an oracle it can show is outside that domain, for a top-level
 spec and a product part alike: one that calls a relator nontrivial, or
 one whose kind's own precondition fails (every generator square a
-relator for ``rewriting``, no relators for ``free``, one order per
-generator for ``abelian``; these raise ValueError), or a ``coset``
+relator for ``rewriting``, one order per generator for ``abelian``;
+these raise ValueError), or a ``coset``
 enumeration that does not complete (:class:`CosetLimitExceeded`).  It
 looks no further: ``abelian:0,0`` on two generators without relators is
 built, and calls their commutator trivial.  Every oracle
@@ -20,10 +20,10 @@ with such a part can raise it.
 Every exact oracle except a product with an inexact part is also a state
 automaton over the signed generators:
 
-    start(ngens)             the state of the empty word, or None when the
-                             oracle has no automaton (then consumers fall
-                             back to deciding words one by one); a marking
-                             mismatch raises the ValueError decide raises
+    start(ngens)             ``initial``, the state of the empty word, or
+                             None when the oracle has no automaton (then
+                             consumers fall back to deciding words one by
+                             one)
     step(state, letter)      the state after one more letter
     identity_distance(state) a consistent lower bound on the letters
                              needed to get back to the identity: one step
@@ -38,6 +38,11 @@ modulo the orders (abelian), the row index with distances from one
 breadth-first search over the table (coset), the stack normal form
 (rewriting), the reduced word (free) and the tuple of component states
 (product).
+
+Each kind sets ``ngens``, the generator count of the marking it was
+built for, and ``initial``.  :meth:`Oracle.start` is the one marking
+check: every walk and every ``decide`` goes through it, so a word on
+another generator count raises ValueError.
 
 Oracle spec strings (used by family registries, manifests and the CLI):
 
@@ -89,6 +94,8 @@ class Oracle:
 
     spec: str
     soundness: str
+    ngens: int
+    initial = None
 
     def decide(self, w: Word) -> bool:
         """Fold ``step`` over ``w``: trivial iff the state ends at distance 0."""
@@ -100,8 +107,14 @@ class Oracle:
         return self.identity_distance(state) == 0
 
     def start(self, ngens: int):
-        """State of the empty word over ``ngens`` generators; None: no automaton."""
-        return None
+        """State of the empty word over ``ngens`` generators; None: no automaton.
+
+        Raises ValueError unless ``ngens`` is the generator count the
+        oracle was built for.
+        """
+        if ngens != self.ngens:
+            raise ValueError(f"oracle {self.spec!r} reads words on {self.ngens} generator(s), not {ngens}")
+        return self.initial
 
     def step(self, state, letter: int):
         """State after reading one more letter."""
@@ -126,6 +139,8 @@ class AbelianOracle(Oracle):
             if o < 0 or o == 1:
                 raise ValueError(f"invalid generator order {o}; use 0 or >= 2")
         self.orders = tuple(orders)
+        self.ngens = len(orders)
+        self.initial = (0,) * self.ngens
         self.spec = "abelian:" + ",".join(str(o) for o in orders)
         self.soundness = (
             "abelian groups presented by all pairwise commutators plus "
@@ -133,18 +148,12 @@ class AbelianOracle(Oracle):
         )
 
     def decide(self, w: Word) -> bool:
-        if w.ngens != len(self.orders):
-            raise ValueError("orders vector length does not match the word's marking")
+        self.start(w.ngens)
         for j, order in enumerate(self.orders, start=1):
             total = w.exponent_sum(j)
             if (total != 0) if order == 0 else (total % order != 0):
                 return False
         return True
-
-    def start(self, ngens: int) -> tuple[int, ...]:
-        if ngens != len(self.orders):
-            raise ValueError("orders vector length does not match the word's marking")
-        return (0,) * ngens
 
     def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
         j = abs(letter) - 1
@@ -163,13 +172,9 @@ class CosetTableOracle(Oracle):
     def __init__(self, table: CayleyTable, spec: str | None = None):
         self.table = table
         self.distances = table.distances()
+        self.ngens, self.initial = table.ngens, 0
         self.spec = spec or "coset"
         self.soundness = f"the finite group with {table.cosets} elements given by its presentation"
-
-    def start(self, ngens: int) -> int:
-        if ngens != self.table.ngens:
-            raise ValueError("word marking does not match the table")
-        return 0
 
     def step(self, state: int, letter: int) -> int:
         return self.table.act(state, letter)
@@ -187,12 +192,10 @@ class RewritingOracle(Oracle):
     in one stack pass.  The state is that stack.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ngens: int) -> None:
+        self.ngens, self.initial = ngens, ()
         self.spec = "rewriting:involutions"
         self.soundness = "free products of order-2 groups (every relator a generator square)"
-
-    def start(self, ngens: int) -> tuple[int, ...]:
-        return ()
 
     def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
         g = abs(letter)
@@ -205,15 +208,14 @@ class RewritingOracle(Oracle):
 class FreeOracle(Oracle):
     """Exact for presentations with no relators: trivial means empty."""
 
-    def __init__(self) -> None:
+    def __init__(self, ngens: int) -> None:
+        self.ngens, self.initial = ngens, ()
         self.spec = "free"
         self.soundness = "free groups (presentations with an empty relator list)"
 
     def decide(self, w: Word) -> bool:
+        self.start(w.ngens)
         return not w.letters
-
-    def start(self, ngens: int) -> tuple[int, ...]:
-        return ()
 
     def step(self, state: tuple[int, ...], letter: int) -> tuple[int, ...]:
         return state[:-1] if state and state[-1] == -letter else state + (letter,)
@@ -232,10 +234,12 @@ class BoundedDerivationOracle(Oracle):
     def __init__(self, pres: Presentation, caps: Caps):
         self.pres = pres
         self.caps = caps
+        self.ngens = pres.ngens
         self.spec = f"derivation:{caps.length_cap},{caps.node_cap}"
         self.soundness = "any presentation; a trivial verdict rests on a derivation found within the caps"
 
     def decide(self, w: Word) -> bool:
+        self.start(w.ngens)
         if not w.letters:
             return True
         if self.pres.relators and len(w) <= self.caps.length_cap:
@@ -266,6 +270,9 @@ class ProductOracle(Oracle):
                 seen.add(g)
         if len(seen) != ngens:
             raise ValueError("parts must cover every generator")
+        # refuses a part whose oracle reads another generator count
+        initials = tuple(oracle.start(len(part)) for oracle, part in components)
+        self.initial = None if None in initials else initials
         self.components = components
         # letter -> (component index, signed letter of the component's marking)
         self.routes = {
@@ -281,8 +288,7 @@ class ProductOracle(Oracle):
         self.soundness = "direct products split along the declared generator partition"
 
     def decide(self, w: Word) -> bool:
-        if w.ngens != self.ngens:
-            raise ValueError("word marking does not match the partition")
+        self.start(w.ngens)
         routed = [self.routes[x] for x in w.letters]
         unknown = False
         for k, (oracle, part) in enumerate(self.components):
@@ -295,12 +301,6 @@ class ProductOracle(Oracle):
         if unknown:
             raise UnknownVerdictError(w, self)
         return True
-
-    def start(self, ngens: int) -> tuple | None:
-        if ngens != self.ngens:
-            raise ValueError("word marking does not match the partition")
-        states = tuple(oracle.start(len(part)) for oracle, part in self.components)
-        return None if None in states else states
 
     def step(self, state: tuple, letter: int) -> tuple:
         k, x = self.routes[letter]
@@ -334,52 +334,39 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
 
 def _from_spec(spec: str, pres: Presentation) -> Oracle:
     head, _, rest = spec.partition(":")
+
+    def ints(count: int, usage: str) -> list[int]:
+        """The ``count`` comma-separated integers of the field; ValueError naming ``usage``."""
+        try:
+            values = [int(part) for part in rest.split(",")]
+            if len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise ValueError(f"oracle spec {spec!r}: {head} takes {usage}, got {rest!r}")
+
     if head == "abelian":
-        try:
-            orders = tuple(int(part) for part in rest.split(","))
-        except ValueError:
-            raise ValueError(
-                f"oracle spec {spec!r}: abelian takes one integer order per generator, got {rest!r}"
-            ) from None
-        if len(orders) != pres.ngens:
-            raise ValueError("abelian orders vector must have one entry per generator")
-        return AbelianOracle(orders)
+        return AbelianOracle(tuple(ints(pres.ngens, "one integer order per generator")))
     if head == "coset":
-        try:
-            max_cosets = int(rest) if rest else 10000
-        except ValueError:
-            raise ValueError(
-                f"oracle spec {spec!r}: coset takes one integer 'max_cosets', got {rest!r}"
-            ) from None
+        max_cosets = ints(1, "one integer 'max_cosets'")[0] if rest else 10000
         return CosetTableOracle(coset_enumerate(pres, max_cosets), spec=f"coset:{max_cosets}")
     if head == "rewriting":
         if rest != "involutions":
-            raise ValueError(f"unknown rewriting system {rest!r}")
+            raise ValueError(f"oracle spec {spec!r}: rewriting takes 'involutions', got {rest!r}")
         relators = {r.letters for r in pres.relators}
         for g, name in enumerate(pres.gen_names, start=1):
             if (g, g) not in relators and (-g, -g) not in relators:
                 raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
-        return RewritingOracle()
+        return RewritingOracle(pres.ngens)
     if head == "derivation":
-        if rest:
-            try:
-                length_cap, node_cap = (int(part) for part in rest.split(","))
-            except ValueError:
-                raise ValueError(
-                    f"oracle spec {spec!r}: derivation takes two integers "
-                    f"'length_cap,node_cap', got {rest!r}"
-                ) from None
-        else:
-            length_cap, node_cap = 16, 50000
+        length_cap, node_cap = ints(2, "two integers 'length_cap,node_cap'") if rest else (16, 50000)
         if length_cap < 0 or node_cap < 1:
             raise ValueError(
                 f"oracle spec {spec!r}: derivation needs length_cap >= 0 and node_cap >= 1"
             )
         return BoundedDerivationOracle(pres, Caps(length_cap, node_cap))
     if head == "free":
-        if pres.relators:
-            raise ValueError("'free' oracle requires an empty relator list")
-        return FreeOracle()
+        return FreeOracle(pres.ngens)
     if head == "product":
         components = []
         for item in rest.split(";"):

@@ -245,12 +245,17 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
     lineno, gens_line = meaningful[0]
     if not gens_line.lstrip().startswith("gens:"):
         raise PresentationSyntaxError("expected 'gens:'", lineno, 0)
-    names = tuple(gens_line.split(":", 1)[1].split())
+    field = gens_line.split(":", 1)[1]
+    names: tuple[str, ...] = ()
+    for m in re.finditer(r"\S+", field):
+        gname, col = m.group(), len(gens_line) - len(field) + m.start()
+        if not _NAME_RE.match(gname):
+            raise PresentationSyntaxError(f"invalid generator name {gname!r}", lineno, col)
+        if gname in names:
+            raise PresentationSyntaxError(f"duplicate generator name {gname!r}", lineno, col)
+        names += (gname,)
     if not names:
         raise PresentationSyntaxError("no generators declared", lineno, len(gens_line))
-    for gname in names:
-        if not _NAME_RE.match(gname):
-            raise PresentationSyntaxError(f"invalid generator name {gname!r}", lineno, gens_line.find(gname))
     if len(meaningful) < 2:
         raise PresentationSyntaxError("missing 'rels:' line", lineno + 1, 0)
     rel_lineno, rels_line = meaningful[1]

@@ -608,9 +608,17 @@ def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
      "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
     ("product:x=rewriting:involutions;y=abelian:0",
      "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
+    ("abelian:0",
+     "oracle spec 'abelian:0': abelian takes one integer order per generator, got '0'"),
+    ("free",
+     "oracle spec 'free' calls the relator x y x^-1 y^-1 nontrivial: "
+     "it is exact only for free groups (presentations with an empty relator list)"),
+    ("rewriting:foo",
+     "oracle spec 'rewriting:foo': rewriting takes 'involutions', got 'foo'"),
 ], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer",
         "derivation_negative_length_cap", "derivation_zero_node_cap", "rewriting_outside_its_domain",
-        "rewriting_product_part_outside_its_domain"])
+        "rewriting_product_part_outside_its_domain", "abelian_one_order_short", "free_on_a_relator",
+        "rewriting_unknown_system"])
 def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
     code, out, err = run_cli(
         ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys

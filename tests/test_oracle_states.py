@@ -37,7 +37,7 @@ class ScanOracle(Oracle):
 
     def __init__(self, inner):
         self.inner = inner
-        self.spec, self.soundness = inner.spec, inner.soundness
+        self.spec, self.soundness, self.ngens = inner.spec, inner.soundness, inner.ngens
 
     def decide(self, w):
         return self.inner.decide(w)
@@ -193,7 +193,7 @@ def test_coset_verdicts_match_the_affine_action_of_the_dihedral_group(i):
 
 class CountingFreeOracle(FreeOracle):
     def __init__(self, counter):
-        super().__init__()
+        super().__init__(2)
         self.counter = counter
 
     def step(self, state, letter):
@@ -216,7 +216,7 @@ class CountingOracle(Oracle):
 
     def __init__(self, inner):
         self.inner, self.steps = inner, 0
-        self.spec, self.soundness = inner.spec, inner.soundness
+        self.spec, self.soundness, self.ngens = inner.spec, inner.soundness, inner.ngens
 
     def start(self, ngens):
         return self.inner.start(ngens)
@@ -246,11 +246,15 @@ def _mismatched_oracles():
     return [
         AbelianOracle((0, 0, 0)),
         build_oracle("coset", a3),
-        ProductOracle(((FreeOracle(), (1,)), (AbelianOracle((0,)), (2,)), (FreeOracle(), (3,))), ("a", "b", "c")),
+        ProductOracle(((FreeOracle(1), (1,)), (AbelianOracle((0,)), (2,)), (FreeOracle(1), (3,))), ("a", "b", "c")),
+        build_oracle("rewriting:involutions", parse_presentation("gens: a b c\nrels: a^2; b^2; c^2")),
+        build_oracle("free", parse_presentation("gens: a\nrels:")),
+        build_oracle("derivation:8,50", a3),
     ]
 
 
-@pytest.mark.parametrize("bad", _mismatched_oracles(), ids=["abelian", "coset", "product"])
+@pytest.mark.parametrize("bad", _mismatched_oracles(),
+                         ids=["abelian", "coset", "product", "rewriting", "free", "derivation"])
 def test_marking_mismatch_raises_the_decide_error_from_every_walk(bad):
     pres, good = GROUPS["z2"]
     with pytest.raises(ValueError) as decided:

@@ -11,6 +11,7 @@ from markedgroups.oracles import (
     BoundedDerivationOracle,
     CosetLimitExceeded,
     CosetTableOracle,
+    ProductOracle,
     RewritingOracle,
     UnknownVerdictError,
     build_oracle,
@@ -160,7 +161,7 @@ def test_table_decide_requires_complete():
 # rewriting oracle
 
 def test_dinf_rewriting_examples():
-    oracle = RewritingOracle()
+    oracle = RewritingOracle(2)
     assert oracle.spec == "rewriting:involutions"
     assert oracle.decide(make_word(2, (1, 2, 2, 1)))
     assert not oracle.decide(make_word(2, (1, 2, 1, 2)))
@@ -171,7 +172,7 @@ def test_dinf_rewriting_examples():
 def test_stack_normal_form_matches_rule_system(ngens):
     # the folded state, the one-pass stack normal form, equals leftmost-first
     # rewriting under the involution rules on every reduced word of length <= 8
-    oracle = RewritingOracle()
+    oracle = RewritingOracle(ngens)
     rewrite = leftmost_first(involution_rules(ngens))
     count = 0
     for length in range(9):
@@ -197,7 +198,7 @@ def test_abab_normal_form_by_exhaustive_rewriting():
                     frontier.append(s[:i] + rhs + s[i + len(lhs):])
     assert () not in seen
     assert (1, 2, 1, 2) in seen
-    oracle = RewritingOracle()
+    oracle = RewritingOracle(2)
     assert reduce(oracle.step, (1, 2, 1, 2), oracle.start(2)) == (1, 2, 1, 2)
 
 
@@ -292,6 +293,8 @@ def test_product_partition_validation():
     p = parse_presentation("gens: x y\nrels: [x,y]")
     with pytest.raises(ValueError):
         build_oracle("product:x=abelian:0", p)  # does not cover y
+    with pytest.raises(ValueError, match=re.escape("oracle 'abelian:0,0' reads words on 2 generator(s), not 1")):
+        ProductOracle(((AbelianOracle((0, 0)), (1,)), (AbelianOracle((0,)), (2,))), ("x", "y"))
 
 
 def test_any_oracle_trivial_on_identity(a3, z2, d3, dinf):

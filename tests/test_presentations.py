@@ -50,6 +50,18 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nrels: x^0")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("gens: x x\nrels:", 8),
+    # the second name 'x', not the 'x' of 'xy' or the first name 'x'
+    ("gens: xy x y x\nrels:", 13),
+], ids=["adjacent", "after_a_longer_name"])
+def test_repeated_generator_name_is_a_syntax_error_at_the_repeat(text, column):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert str(err.value) == f"line 1, column {column}: duplicate generator name 'x'"
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_empty_word_relator_rejected():
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("gens: x y\nrels: x x^-1")

@@ -18,7 +18,7 @@ class RecordingOracle(Oracle):
 
     def __init__(self, inner, name, log, unknown_on=None):
         self.inner, self.name, self.log, self.unknown_on = inner, name, log, unknown_on
-        self.spec, self.soundness = inner.spec, inner.soundness
+        self.spec, self.soundness, self.ngens = inner.spec, inner.soundness, inner.ngens
 
     def decide(self, w):
         self.log.append((self.name, w.letters))
