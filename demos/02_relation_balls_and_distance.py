@@ -6,15 +6,15 @@
 
 from markedgroups import build_oracle, distance, parse_presentation, rel_ball
 
-z5 = parse_presentation("gens: x\nrels: x^5", name="Z/5")
-z = parse_presentation("gens: x\nrels:", name="Z")
+z5 = parse_presentation("gens: x\nrels: x^5")
+z = parse_presentation("gens: x\nrels:")
 o5 = build_oracle("abelian:5", z5)
 oz = build_oracle("free", z)
 
 ball = rel_ball(z5, o5, 5)
 print("relations of Z/5 up to length 5:", ball.to_json(z5)["members"])
 print("d(Z/5, Z):", distance(z5, o5, z, oz, 10))
-z7 = parse_presentation("gens: x\nrels: x^7", name="Z/7")
+z7 = parse_presentation("gens: x\nrels: x^7")
 print("d(Z/5, Z/7):", distance(z5, o5, z7, build_oracle("abelian:7", z7), 10))
 print()
 

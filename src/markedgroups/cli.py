@@ -34,6 +34,7 @@ from .families import get_family
 from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
 from .presentations import (
     Presentation,
+    PresentationSyntaxError,
     max_relator_length,
     parse_presentation,
     parse_word,
@@ -163,7 +164,10 @@ def _parse_radii(text: str) -> list[int]:
 
 def _load_presentation_file(path: str) -> Presentation:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_presentation(handle.read(), name=path)
+        try:
+            return parse_presentation(handle.read())
+        except PresentationSyntaxError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _groups(args, *files) -> list[tuple[Presentation, object, str]]:

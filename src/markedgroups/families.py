@@ -54,7 +54,7 @@ class FamilySpec:
                 f"family {self.name!r}: unknown placeholder ${exc.args[0]} in the member "
                 "template; only $i is substituted"
             ) from None
-        pres = parse_presentation(text, name=f"{self.name}[{i}]")
+        pres = parse_presentation(text)
         return pres, build_oracle(spec, pres)
 
 
@@ -62,7 +62,7 @@ def builtin_families() -> tuple[FamilySpec, ...]:
     cyclic = FamilySpec(
         name="cyclicZ",
         valid_i=2,
-        limit_pres=parse_presentation("gens: x\nrels:", name="cyclicZ[limit]"),
+        limit_pres=parse_presentation("gens: x\nrels:"),
         limit_oracle_spec="abelian:0",
         member_pres_template="gens: x\nrels: x^$i",
         member_oracle_template="abelian:$i",
@@ -70,7 +70,7 @@ def builtin_families() -> tuple[FamilySpec, ...]:
     zxz = FamilySpec(
         name="zxz",
         valid_i=2,
-        limit_pres=parse_presentation("gens: x y\nrels: [x,y]", name="zxz[limit]"),
+        limit_pres=parse_presentation("gens: x y\nrels: [x,y]"),
         limit_oracle_spec="abelian:0,0",
         member_pres_template="gens: x y\nrels: [x,y]; y^$i",
         member_oracle_template="abelian:0,$i",
@@ -78,7 +78,7 @@ def builtin_families() -> tuple[FamilySpec, ...]:
     dihedral = FamilySpec(
         name="dihedral",
         valid_i=2,
-        limit_pres=parse_presentation("gens: a b\nrels: a^2; b^2", name="dihedral[limit]"),
+        limit_pres=parse_presentation("gens: a b\nrels: a^2; b^2"),
         limit_oracle_spec="rewriting:involutions",
         member_pres_template="gens: a b\nrels: a^2; b^2; (a b)^$i",
         member_oracle_template="coset",
@@ -87,13 +87,12 @@ def builtin_families() -> tuple[FamilySpec, ...]:
 
 
 def get_family(name: str) -> FamilySpec:
-    """Look up a built-in family, or load a manifest if given a path."""
+    """Look up a built-in family, or load the manifest at a ``.json`` path."""
     for spec in builtin_families():
         if spec.name == name:
             return spec
-    path = Path(name)
-    if path.suffix == ".json" and path.exists():
-        return load_manifest(path)
+    if name.endswith(".json"):
+        return load_manifest(name)
     known = ", ".join(spec.name for spec in builtin_families())
     raise ValueError(f"unknown family {name!r} (built-ins: {known})")
 
@@ -140,7 +139,7 @@ def load_manifest(path: str | Path) -> FamilySpec:
     if type(valid_i) is not int:  # bool is an int subclass, and JSON true is no integer
         raise ValueError(f"manifest {path}: valid_i must be an integer")
     limit_file = path.parent / field("limit", "presentation")
-    limit_pres = parse_presentation(limit_file.read_text(encoding="utf-8"), name=f"{name}[limit]")
+    limit_pres = parse_presentation(limit_file.read_text(encoding="utf-8"))
     return FamilySpec(
         name=name,
         valid_i=valid_i,

@@ -7,12 +7,13 @@ refuses an oracle it can show is outside that domain, for a top-level
 spec and a product part alike: one that calls a relator nontrivial, or
 one whose kind's own precondition fails (every generator square a
 relator for ``rewriting``, one order per generator for ``abelian``;
-these raise ValueError), or a ``coset``
-enumeration that does not complete (:class:`CosetLimitExceeded`).  It
-looks no further: ``abelian:0,0`` on two generators without relators is
-built, and calls their commutator trivial.  Every oracle
-answers through :meth:`Oracle.decide`, which returns True iff the word
-is trivial; an oracle that cannot tell raises
+these raise ValueError), or a ``coset`` enumeration that does not
+complete (:class:`CosetLimitExceeded`).  Each refusal names the whole
+spec, even a product part's; one raised while building starts with
+``oracle spec '<spec>': ``.  It looks no further: ``abelian:0,0`` on two
+generators without relators is built, and calls their commutator
+trivial.  Every oracle answers through :meth:`Oracle.decide`, which
+returns True iff the word is trivial; an oracle that cannot tell raises
 :class:`UnknownVerdictError` instead of guessing.  Only the generic
 fallback (bounded derivation search, sound everywhere) and a product
 with such a part can raise it.
@@ -318,7 +319,10 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
     calls a relator of ``pres`` nontrivial is refused (ValueError).
     """
     spec = spec.strip()
-    oracle = _from_spec(spec, pres)
+    try:
+        oracle = _from_spec(spec, pres)
+    except (ValueError, CosetLimitExceeded) as err:
+        raise type(err)(f"oracle spec {spec!r}: {err}") from None
     for r in pres.relators:
         try:
             trivial = oracle.decide(r)
@@ -343,7 +347,7 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
                 return values
         except ValueError:
             pass
-        raise ValueError(f"oracle spec {spec!r}: {head} takes {usage}, got {rest!r}")
+        raise ValueError(f"{head} takes {usage}, got {rest!r}")
 
     if head == "abelian":
         return AbelianOracle(tuple(ints(pres.ngens, "one integer order per generator")))
@@ -352,18 +356,16 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
         return CosetTableOracle(coset_enumerate(pres, max_cosets), spec=f"coset:{max_cosets}")
     if head == "rewriting":
         if rest != "involutions":
-            raise ValueError(f"oracle spec {spec!r}: rewriting takes 'involutions', got {rest!r}")
+            raise ValueError(f"rewriting takes 'involutions', got {rest!r}")
         relators = {r.letters for r in pres.relators}
         for g, name in enumerate(pres.gen_names, start=1):
             if (g, g) not in relators and (-g, -g) not in relators:
-                raise ValueError(f"oracle spec {spec!r} needs the relator {name}^2, which is missing")
+                raise ValueError(f"rewriting needs the relator {name}^2, which is missing")
         return RewritingOracle(pres.ngens)
     if head == "derivation":
         length_cap, node_cap = ints(2, "two integers 'length_cap,node_cap'") if rest else (16, 50000)
         if length_cap < 0 or node_cap < 1:
-            raise ValueError(
-                f"oracle spec {spec!r}: derivation needs length_cap >= 0 and node_cap >= 1"
-            )
+            raise ValueError("derivation needs length_cap >= 0 and node_cap >= 1")
         return BoundedDerivationOracle(pres, Caps(length_cap, node_cap))
     if head == "free":
         return FreeOracle(pres.ngens)
@@ -374,10 +376,7 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
             part = []
             for name in (n.strip() for n in names.split(",")):
                 if name not in pres.gen_names:
-                    raise ValueError(
-                        f"oracle spec {spec!r}: unknown generator {name!r} "
-                        f"(the presentation has {', '.join(pres.gen_names)})"
-                    )
+                    raise ValueError(f"unknown generator {name!r} (the presentation has {', '.join(pres.gen_names)})")
                 part.append(pres.gen_names.index(name) + 1)
             # the relators on this part's letters alone, in the part's marking
             index = {x: j if x > 0 else -j for j, g in enumerate(part, start=1) for x in (g, -g)}
@@ -391,5 +390,5 @@ def _from_spec(spec: str, pres: Presentation) -> Oracle:
             )
             components.append((_from_spec(sub.strip(), sub_pres), tuple(part)))
         return ProductOracle(tuple(components), pres.gen_names)
-    raise ValueError(f"unknown oracle spec {spec!r}")
+    raise ValueError(f"unknown kind {head!r}")
 

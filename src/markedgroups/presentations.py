@@ -19,7 +19,9 @@ Word grammar, shared by relators and command-line word arguments:
 :func:`parse_presentation` reduces relators freely and cyclically, drops
 duplicates, and rejects a relator that reduces to the empty word;
 :class:`Presentation` refuses a relator that is empty, not cyclically
-reduced or a duplicate.
+reduced or a duplicate.  Parse errors pass 0-based offsets, which
+:class:`PresentationSyntaxError` reports as 1-based columns; a relator's
+own errors point at its first non-blank character.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?
 class PresentationSyntaxError(ValueError):
     """Syntax error with source position, 1-based line and column."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, line: int, offset: int):
+        self.line, self.column = line, offset + 1
+        super().__init__(f"line {line}, column {self.column}: {message}")
 
 
 def _tokenize(text: str, line: int, col_base: int) -> list[tuple[str, str, int]]:
@@ -196,7 +197,6 @@ class Presentation:
 
     gen_names: tuple[str, ...]
     relators: tuple[Word, ...]
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if not self.gen_names:
@@ -233,7 +233,7 @@ class Presentation:
         return f"gens: {' '.join(self.gen_names)}\nrels: {rels}\n"
 
 
-def parse_presentation(text: str, name: str | None = None) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     """Parse the two-line presentation format described in the module doc."""
     meaningful: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -269,17 +269,16 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
     relators: list[Word] = []
     cursor = 0
     for chunk in body.split(";"):
-        start = col_base + cursor
+        relator = chunk.lstrip()
+        start = col_base + cursor + len(chunk) - len(relator)
         cursor += len(chunk) + 1
-        if not chunk.strip():
+        if not relator:
             continue
-        w = parse_word(chunk, names, line=rel_lineno, col_base=start)
+        w = parse_word(relator, names, line=rel_lineno, col_base=start)
         if not w.letters:
-            raise PresentationSyntaxError(
-                "relator reduces to the empty word", rel_lineno, start + len(chunk) - len(chunk.lstrip())
-            )
+            raise PresentationSyntaxError("relator reduces to the empty word", rel_lineno, start)
         relators.append(Word(len(names), _cyclic_reduce(w.letters)))
-    return Presentation(names, tuple(dict.fromkeys(relators)), name)
+    return Presentation(names, tuple(dict.fromkeys(relators)))
 
 
 def max_relator_length(pres: Presentation) -> int | None:

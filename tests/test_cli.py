@@ -60,11 +60,12 @@ def test_area_parse_error_exit_code(pres_dir, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("word, column", [("x^99999999999999999999", 2), ("(x y)^4611686018427387904", 6)])
-def test_power_too_large_to_expand_exits_2(pres_dir, word, column, capsys):
+# offset: the 0-based offset of the exponent, reported as the 1-based column offset + 1
+@pytest.mark.parametrize("word, offset", [("x^99999999999999999999", 2), ("(x y)^4611686018427387904", 6)])
+def test_power_too_large_to_expand_exits_2(pres_dir, word, offset, capsys):
     code, out, err = run_cli(["area", "-p", str(pres_dir / "z2.pres"), "-w", word], capsys)
     assert (code, out) == (2, "")
-    assert err == f"error: line 1, column {column}: exponent too large to expand\n"
+    assert err == f"error: line 1, column {offset + 1}: exponent too large to expand\n"
 
 
 def test_relator_power_too_large_to_expand_exits_2(tmp_path, capsys):
@@ -73,7 +74,7 @@ def test_relator_power_too_large_to_expand_exits_2(tmp_path, capsys):
         ["rel-ball", "-p", str(tmp_path / "big.pres"), "--oracle", "abelian:0", "--radius", "2"], capsys
     )
     assert (code, out) == (2, "")
-    assert err == "error: line 2, column 8: exponent too large to expand\n"
+    assert err == f"error: {tmp_path / 'big.pres'}: line 2, column 9: exponent too large to expand\n"
 
 
 @pytest.mark.parametrize("word, fmt, fixture", [
@@ -314,6 +315,21 @@ def test_dist_files_without_relators_default_to_the_free_oracle(pres_dir, capsys
     assert json.loads(out)["kind"] == "at_most"
 
 
+def test_dist_syntax_error_names_the_file(pres_dir, capsys):
+    bad = pres_dir / "bad.pres"
+    bad.write_text("gens: x y\nrels: x z\n", encoding="utf-8")
+    argv = ["dist", "--p1", str(pres_dir / "z2.pres"), "--oracle1", "abelian:0,0",
+            "--p2", str(bad), "--oracle2", "abelian:0,0"]
+    assert run_cli(argv, capsys) == (2, "", f"error: {bad}: line 2, column 9: unknown generator 'z'\n")
+
+
+def test_missing_manifest_is_a_missing_file_not_an_unknown_family(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert run_cli(["converge", "--family", missing, "--i", "3"], capsys) == (
+        2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    )
+
+
 def _directory_as_presentation(tmp_path):
     return ["area", "-p", str(tmp_path), "-w", "x"]
 
@@ -355,8 +371,8 @@ def _nested_relator(tmp_path):
     (_directory_as_manifest, "Is a directory"),
     (_directory_as_manifest_limit, "Is a directory"),
     (_directory_as_cache_entry, "Is a directory"),
-    (_nested_word, "line 1, column 0: expression nested too deeply"),
-    (_nested_relator, "line 2, column 5: expression nested too deeply"),
+    (_nested_word, "line 1, column 1: expression nested too deeply"),
+    (_nested_relator, "line 2, column 7: expression nested too deeply"),
 ], ids=["presentation", "manifest", "manifest-limit", "cache-entry", "nested-word", "nested-relator"])
 def test_unreadable_paths_and_deep_nesting_are_input_errors(make_argv, message, tmp_path, capsys):
     argv = make_argv(tmp_path)
@@ -605,9 +621,9 @@ def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
     ("derivation:4,0",
      "oracle spec 'derivation:4,0': derivation needs length_cap >= 0 and node_cap >= 1"),
     ("rewriting:involutions",
-     "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
+     "oracle spec 'rewriting:involutions': rewriting needs the relator x^2, which is missing"),
     ("product:x=rewriting:involutions;y=abelian:0",
-     "oracle spec 'rewriting:involutions' needs the relator x^2, which is missing"),
+     "oracle spec 'product:x=rewriting:involutions;y=abelian:0': rewriting needs the relator x^2, which is missing"),
     ("abelian:0",
      "oracle spec 'abelian:0': abelian takes one integer order per generator, got '0'"),
     ("free",
@@ -615,10 +631,22 @@ def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
      "it is exact only for free groups (presentations with an empty relator list)"),
     ("rewriting:foo",
      "oracle spec 'rewriting:foo': rewriting takes 'involutions', got 'foo'"),
+    # refusals raised by the oracle constructors name the spec too
+    ("coset:0",
+     "oracle spec 'coset:0': max_cosets must be at least 1"),
+    ("abelian:1,0",
+     "oracle spec 'abelian:1,0': invalid generator order 1; use 0 or >= 2"),
+    ("product:x=abelian:0",
+     "oracle spec 'product:x=abelian:0': parts must cover every generator"),
+    ("product:x=abelian:0;x,y=abelian:0,0",
+     "oracle spec 'product:x=abelian:0;x,y=abelian:0,0': parts must partition the generators"),
+    ("bogus:1",
+     "oracle spec 'bogus:1': unknown kind 'bogus'"),
 ], ids=["unknown_generator", "derivation_one_field", "abelian_not_an_integer", "coset_not_an_integer",
         "derivation_negative_length_cap", "derivation_zero_node_cap", "rewriting_outside_its_domain",
         "rewriting_product_part_outside_its_domain", "abelian_one_order_short", "free_on_a_relator",
-        "rewriting_unknown_system"])
+        "rewriting_unknown_system", "coset_zero_max_cosets", "abelian_order_one", "product_part_missing",
+        "product_parts_overlap", "unknown_kind"])
 def test_malformed_oracle_spec_names_the_problem(spec, message, pres_dir, capsys):
     code, out, err = run_cli(
         ["rel-ball", "-p", str(pres_dir / "z2.pres"), "--oracle", spec, "--radius", "2"], capsys

@@ -380,20 +380,20 @@ def test_verify_family_computes_member_by_member_then_the_limit(monkeypatch):
         monkeypatch.setattr(dehn_module, name, wrapper)
 
     record("quotient_check", lambda limit_pres, oracle: oracle.spec)
-    record("distance", lambda pres, oracle, limit_pres, limit_oracle, lam: (pres.name, lam))
-    record("dehn", lambda pres, oracle, n, caps, fan_out: (pres.name, n))
-    record("compute_K", lambda limit_pres, pres, caps: pres.name)
+    record("distance", lambda pres, oracle, limit_pres, limit_oracle, lam: (oracle.spec, lam))
+    record("dehn", lambda pres, oracle, n, caps, fan_out: (oracle.spec, n))
+    record("compute_K", lambda limit_pres, pres, caps: pres.to_text())
     # zxz has L = 4; index 4 is repeated and computed once
     reports, _ = verify_family(fam("zxz"), (4, 3, 4), (3, 2), CAPS)
     assert calls == [
         ("quotient_check", "abelian:0,4"),
-        ("distance", ("zxz[4]", 3)),
-        ("dehn", ("zxz[4]", 4)),
-        ("compute_K", "zxz[4]"),
+        ("distance", ("abelian:0,4", 3)),
+        ("dehn", ("abelian:0,4", 4)),
+        ("compute_K", "gens: x y\nrels: x y x^-1 y^-1; y^4\n"),
         ("quotient_check", "abelian:0,3"),
-        ("distance", ("zxz[3]", 3)),
-        ("dehn", ("zxz[3]", 4)),
-        ("compute_K", "zxz[3]"),
-        ("dehn", ("zxz[limit]", 3)),
+        ("distance", ("abelian:0,3", 3)),
+        ("dehn", ("abelian:0,3", 4)),
+        ("compute_K", "gens: x y\nrels: x y x^-1 y^-1; y^3\n"),
+        ("dehn", ("abelian:0,0", 3)),
     ]
     assert [(r.n, r.i) for r in reports] == [(3, 4), (3, 3), (3, 4), (2, 4), (2, 3), (2, 4)]

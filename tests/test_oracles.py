@@ -158,6 +158,13 @@ def test_table_decide_requires_complete():
         coset_enumerate(p, 50)
 
 
+def test_coset_part_that_does_not_complete_names_the_whole_spec(z2):
+    spec = "product:x=abelian:0;y=coset"
+    with pytest.raises(CosetLimitExceeded) as err:
+        build_oracle(spec, z2)
+    assert str(err.value).startswith(f"oracle spec {spec!r}: coset enumeration reached max_cosets=10000")
+
+
 # rewriting oracle
 
 def test_dinf_rewriting_examples():
@@ -313,12 +320,12 @@ def test_any_oracle_trivial_on_identity(a3, z2, d3, dinf):
 @pytest.mark.parametrize("text, spec, message", [
     ("gens: a b\nrels: a^2; b^2", "abelian:0,0", "oracle spec 'abelian:0,0' calls the relator a^2 nontrivial"),
     ("gens: a b c\nrels: a^2; b^2", "rewriting:involutions",
-     "oracle spec 'rewriting:involutions' needs the relator c^2"),
+     "oracle spec 'rewriting:involutions': rewriting needs the relator c^2"),
     ("gens: a b\nrels: a^2; b^2; a b a^-1 b^-1", "rewriting:involutions",
      "oracle spec 'rewriting:involutions' calls the relator a b a^-1 b^-1 nontrivial"),
     # a part is checked against the relators on its own generators
     ("gens: a b\nrels: [a,b]; b^2", "product:a=rewriting:involutions;b=abelian:2",
-     "oracle spec 'rewriting:involutions' needs the relator a^2"),
+     "oracle spec 'product:a=rewriting:involutions;b=abelian:2': rewriting needs the relator a^2"),
 ], ids=["abelian_on_involutions", "rewriting_missing_a_square", "rewriting_on_a_commutator",
         "rewriting_product_part_missing_a_square"])
 def test_build_oracle_refuses_an_oracle_outside_its_domain(text, spec, message):

@@ -1,5 +1,6 @@
 import pytest
 
+from markedgroups.families import builtin_families
 from markedgroups.presentations import (
     Presentation,
     PresentationSyntaxError,
@@ -41,7 +42,12 @@ def test_parse_empty_relator_list():
 def test_parse_errors_carry_position():
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation("gens: x y\nrels: x z")
-    assert err.value.line == 2
+    # 1-based: the 'z' is the 9th character of line 2
+    assert (err.value.line, err.value.column) == (2, 9)
+    assert str(err.value) == "line 2, column 9: unknown generator 'z'"
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation("z")
+    assert (err.value.line, err.value.column) == (1, 1)
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("rels: x")
     with pytest.raises(PresentationSyntaxError):
@@ -50,10 +56,17 @@ def test_parse_errors_carry_position():
         parse_presentation("gens: x\nrels: x^0")
 
 
+def test_builtin_limits_equal_their_text_parsed_directly():
+    texts = {"cyclicZ": "gens: x\nrels:", "zxz": "gens: x y\nrels: [x,y]", "dihedral": "gens: a b\nrels: a^2; b^2"}
+    assert {f.name: f.limit_pres for f in builtin_families()} == {
+        name: parse_presentation(text) for name, text in texts.items()
+    }
+
+
 @pytest.mark.parametrize("text, column", [
-    ("gens: x x\nrels:", 8),
+    ("gens: x x\nrels:", 9),
     # the second name 'x', not the 'x' of 'xy' or the first name 'x'
-    ("gens: xy x y x\nrels:", 13),
+    ("gens: xy x y x\nrels:", 14),
 ], ids=["adjacent", "after_a_longer_name"])
 def test_repeated_generator_name_is_a_syntax_error_at_the_repeat(text, column):
     with pytest.raises(PresentationSyntaxError) as err:
@@ -119,24 +132,25 @@ def test_word_grammar_rejects_unknowns():
 # 2^63 = 2 * 2^62 letters is past any list index on a 64-bit build, and
 # 2 * (2^62 - 1) is past the address space: Python refuses both before it
 # allocates anything, as it does a count of 10^20 even for the empty word.
-@pytest.mark.parametrize("text, column", [
+# offset: the 0-based offset of the exponent, reported as the 1-based column offset + 1
+@pytest.mark.parametrize("text, offset", [
     ("x^99999999999999999999", 2),
     ("y x^-99999999999999999999", 4),
     ("(x y)^4611686018427387904", 6),
     ("(x y)^4611686018427387903", 6),
     ("1^99999999999999999999", 2),
 ])
-def test_power_too_large_to_expand_is_a_syntax_error(text, column):
+def test_power_too_large_to_expand_is_a_syntax_error(text, offset):
     with pytest.raises(PresentationSyntaxError) as err:
         parse_word(text, ("x", "y"))
-    assert (err.value.line, err.value.column) == (1, column)
+    assert (err.value.line, err.value.column) == (1, offset + 1)
     assert str(err.value).endswith("exponent too large to expand")
 
 
 def test_relator_power_too_large_to_expand_is_a_syntax_error():
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation("gens: x\nrels: x^99999999999999999999")
-    assert (err.value.line, err.value.column) == (2, 8)
+    assert (err.value.line, err.value.column) == (2, 9)
 
 
 def test_symmetrize_single_power():
