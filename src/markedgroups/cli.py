@@ -12,9 +12,10 @@ file without relators, or --family with one index --i, which gives the
 member and, for dist's second group, the limit.
 
 Exit codes: 0 success; 2 input or parse error, including a path that
-cannot be read; 3 area not found within caps; 4 unknown oracle verdict;
-5 a checked inequality failed (which would mean an implementation bug);
-6 a worker process of --workers died.
+cannot be read and a file that cannot be decoded; 3 area not found
+within caps; 4 unknown oracle verdict; 5 a checked inequality failed
+(which would mean an implementation bug); 6 a worker process of
+--workers died.
 """
 
 from __future__ import annotations
@@ -31,14 +32,8 @@ from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache
 from .dehn import POOL_STATES, DehnComputationError, dehn, verify_family, worker_pool
 from .families import get_family
-from .oracles import CosetLimitExceeded, UnknownVerdictError, build_oracle
-from .presentations import (
-    Presentation,
-    PresentationSyntaxError,
-    max_relator_length,
-    parse_presentation,
-    parse_word,
-)
+from .oracles import UnknownVerdictError, build_oracle
+from .presentations import Presentation, max_relator_length, parse_word, read_presentation
 from .space import convergence_report, distance, rel_ball
 
 EXIT_OK = 0
@@ -162,14 +157,6 @@ def _parse_radii(text: str) -> list[int]:
     return radii
 
 
-def _load_presentation_file(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return parse_presentation(handle.read())
-        except PresentationSyntaxError as err:
-            raise ValueError(f"{path}: {err}") from None
-
-
 def _groups(args, *files) -> list[tuple[Presentation, object, str]]:
     """One (presentation, oracle, label) per ``files`` entry, a (file flag, path, oracle flag, spec) tuple.
 
@@ -200,7 +187,7 @@ def _groups(args, *files) -> list[tuple[Presentation, object, str]]:
     for file_flag, path, oracle_flag, spec in files:
         if not path:
             raise ValueError(f"give either {file_flag} FILE or --family NAME --i K")
-        pres = _load_presentation_file(path)
+        pres = read_presentation(path)
         if not spec and pres.relators:
             raise ValueError(f"{oracle_flag} is required for presentations with relators")
         groups.append((pres, build_oracle(spec or "free", pres), path))
@@ -246,7 +233,7 @@ def _emit(args, payload: dict, headers: list[str], rows: list[list], footer: str
 
 
 def cmd_area(args) -> int:
-    pres = _load_presentation_file(args.presentation)
+    pres = read_presentation(args.presentation)
     w = parse_word(args.word, pres.gen_names)
     length_cap = _default_length_cap(args, len(w), pres)
     result = area_search(pres, w, length_cap, args.node_cap)
@@ -418,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, CosetLimitExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AreaNotFound, DehnComputationError) as exc:

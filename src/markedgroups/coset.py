@@ -5,8 +5,9 @@ action: one coset per group element, acted on by every signed generator.
 The processing order is fixed so results are reproducible: cosets are
 scanned in creation order, relators in declaration order, definitions
 fill the first undefined column, and coincidences are merged immediately
-through a FIFO queue.  Enumeration completes or raises
-:class:`CosetLimitExceeded` at ``max_cosets``; there are no partial tables.
+through a FIFO queue.  Enumeration completes or refuses the input at
+``max_cosets`` with :class:`CosetLimitExceeded`, a ValueError; there are
+no partial tables.
 
 References for the algorithm shape: Holt, Eick, O'Brien, "Handbook of
 Computational Group Theory", ch. 5 (relator-based enumeration).
@@ -26,7 +27,7 @@ def _column(letter: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
-class CosetLimitExceeded(RuntimeError):
+class CosetLimitExceeded(ValueError):
     """Enumeration hit max_cosets; the group may be infinite."""
 
 

@@ -16,6 +16,8 @@ The built-in families cover three distinct regimes:
   group, non-abelian members with a rewriting-system limit oracle.
 
 User-defined families load from a JSON manifest; see load_manifest.
+A member that cannot be built from its template raises ValueError
+naming ``family '<name>' member <i>``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from string import Template
 
 from .oracles import Oracle, build_oracle
-from .presentations import Presentation, parse_presentation
+from .presentations import Presentation, parse_presentation, read_presentation
 
 __all__ = ["FamilySpec", "builtin_families", "get_family", "load_manifest"]
 
@@ -49,12 +51,14 @@ class FamilySpec:
         try:
             text = Template(self.member_pres_template).substitute(i=i)
             spec = Template(self.member_oracle_template).substitute(i=i)
+            pres = parse_presentation(text)
         except KeyError as exc:
             raise ValueError(
                 f"family {self.name!r}: unknown placeholder ${exc.args[0]} in the member "
                 "template; only $i is substituted"
             ) from None
-        pres = parse_presentation(text)
+        except ValueError as err:  # a syntax error in the member text, or a placeholder such as $5
+            raise ValueError(f"family {self.name!r} member {i}: {err}") from None
         return pres, build_oracle(spec, pres)
 
 
@@ -88,12 +92,13 @@ def builtin_families() -> tuple[FamilySpec, ...]:
 
 def get_family(name: str) -> FamilySpec:
     """Look up a built-in family, or load the manifest at a ``.json`` path."""
-    for spec in builtin_families():
+    builtins = builtin_families()
+    for spec in builtins:
         if spec.name == name:
             return spec
     if name.endswith(".json"):
         return load_manifest(name)
-    known = ", ".join(spec.name for spec in builtin_families())
+    known = ", ".join(spec.name for spec in builtins)
     raise ValueError(f"unknown family {name!r} (built-ins: {known})")
 
 
@@ -113,7 +118,8 @@ def load_manifest(path: str | Path) -> FamilySpec:
     The limit presentation is a file path relative to the manifest; the
     member presentation is inline text with $i substituted.  Other keys,
     such as "notes", are ignored.  A manifest that is not shaped like
-    this raises ValueError naming what is wrong.
+    this raises ValueError naming what is wrong; an error in the limit
+    file names that file.
     """
     path = Path(path)
     try:
@@ -138,12 +144,10 @@ def load_manifest(path: str | Path) -> FamilySpec:
     valid_i = data.get("valid_i", 2)
     if type(valid_i) is not int:  # bool is an int subclass, and JSON true is no integer
         raise ValueError(f"manifest {path}: valid_i must be an integer")
-    limit_file = path.parent / field("limit", "presentation")
-    limit_pres = parse_presentation(limit_file.read_text(encoding="utf-8"))
     return FamilySpec(
         name=name,
         valid_i=valid_i,
-        limit_pres=limit_pres,
+        limit_pres=read_presentation(path.parent / field("limit", "presentation")),
         limit_oracle_spec=field("limit", "oracle"),
         member_pres_template=field("member_template", "presentation"),
         member_oracle_template=field("member_template", "oracle"),

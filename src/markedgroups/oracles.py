@@ -6,10 +6,10 @@ presentations on which its verdicts are exact.  :func:`build_oracle`
 refuses an oracle it can show is outside that domain, for a top-level
 spec and a product part alike: one that calls a relator nontrivial, or
 one whose kind's own precondition fails (every generator square a
-relator for ``rewriting``, one order per generator for ``abelian``;
-these raise ValueError), or a ``coset`` enumeration that does not
-complete (:class:`CosetLimitExceeded`).  Each refusal names the whole
-spec, even a product part's; one raised while building starts with
+relator for ``rewriting``, one order per generator for ``abelian``),
+or a ``coset`` enumeration that does not complete
+(:class:`CosetLimitExceeded`).  Every refusal is a ValueError and names
+the whole spec, even a product part's; one raised while building starts with
 ``oracle spec '<spec>': ``.  It looks no further: ``abelian:0,0`` on two
 generators without relators is built, and calls their commutator
 trivial.  Every oracle answers through :meth:`Oracle.decide`, which
@@ -321,7 +321,7 @@ def build_oracle(spec: str, pres: Presentation) -> Oracle:
     spec = spec.strip()
     try:
         oracle = _from_spec(spec, pres)
-    except (ValueError, CosetLimitExceeded) as err:
+    except ValueError as err:
         raise type(err)(f"oracle spec {spec!r}: {err}") from None
     for r in pres.relators:
         try:

@@ -42,6 +42,7 @@ __all__ = [
     "PresentationSyntaxError",
     "parse_presentation",
     "parse_word",
+    "read_presentation",
     "max_relator_length",
     "symmetrize",
     "splice_symmetries",
@@ -279,6 +280,15 @@ def parse_presentation(text: str) -> Presentation:
             raise PresentationSyntaxError("relator reduces to the empty word", rel_lineno, start)
         relators.append(Word(len(names), _cyclic_reduce(w.letters)))
     return Presentation(names, tuple(dict.fromkeys(relators)))
+
+
+def read_presentation(path) -> Presentation:
+    """Parse the UTF-8 presentation file at ``path``; a ValueError names the path."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_presentation(handle.read())
+    except ValueError as err:  # a syntax error, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {err}") from None
 
 
 def max_relator_length(pres: Presentation) -> int | None:

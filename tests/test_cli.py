@@ -575,8 +575,15 @@ GOOD_MANIFEST = {
     (b'{"name": }', "bad.json: not valid JSON: Expecting value"),
     (b'\xff{', "bad.json: not valid JSON: 'utf-8' codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "bad.json: not valid JSON: maximum recursion depth exceeded"),
+    ({**GOOD_MANIFEST, "member_template": {"presentation": "gens: x y\nrels: [x,y]; z^$i",
+                                           "oracle": "abelian:0,$i"}},
+     "family 'zxzManifest' member 3: line 2, column 14: unknown generator 'z'"),
+    ({**GOOD_MANIFEST, "member_template": {"presentation": "gens: x y\nrels: [x,y]; y^$i # costs $5",
+                                           "oracle": "abelian:0,$i"}},
+     "family 'zxzManifest' member 3: Invalid placeholder"),
 ], ids=["no_limit", "not_an_object", "unknown_placeholder", "valid_i_null", "valid_i_float",
-        "valid_i_bool", "valid_i_string", "not_a_string", "not_json", "not_utf8", "deep"])
+        "valid_i_bool", "valid_i_string", "not_a_string", "not_json", "not_utf8", "deep",
+        "member_syntax_error", "member_invalid_placeholder"])
 def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsys):
     # bytes are written as they stand, anything else as its JSON text
     (tmp_path / "limit.pres").write_text("gens: x y\nrels: [x,y]\n", encoding="utf-8")
@@ -588,6 +595,26 @@ def test_malformed_manifest_is_an_input_error(manifest, message, tmp_path, capsy
     # the well-formed manifest in the same place works
     path.write_text(json.dumps(GOOD_MANIFEST), encoding="utf-8")
     assert run_cli(["converge", "--family", str(path), "--i", "3"], capsys)[0] == 0
+
+
+NOT_UTF8 = b"\xffgens: x\nrels:\n"
+DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("culprit, content, argv, message", [
+    ("limit.pres", b"gens: x y\nrels: x z\n", ["converge", "--family", "{tmp}/family.json", "--i", "3"],
+     "line 2, column 9: unknown generator 'z'"),
+    ("limit.pres", NOT_UTF8, ["converge", "--family", "{tmp}/family.json", "--i", "3"], DECODE_ERROR),
+    ("bin.pres", NOT_UTF8, ["rel-ball", "-p", "{tmp}/bin.pres", "--radius", "1"], DECODE_ERROR),
+    ("bin.pres", NOT_UTF8,
+     ["dist", "--p1", "{tmp}/limit.pres", "--oracle1", "abelian:0,0", "--p2", "{tmp}/bin.pres"], DECODE_ERROR),
+], ids=["limit_syntax_error", "limit_not_utf8", "rel_ball_not_utf8", "dist_p2_not_utf8"])
+def test_presentation_file_error_names_the_file(culprit, content, argv, message, tmp_path, capsys):
+    (tmp_path / "limit.pres").write_text("gens: x y\nrels: [x,y]\n", encoding="utf-8")
+    (tmp_path / "family.json").write_text(json.dumps(GOOD_MANIFEST), encoding="utf-8")
+    (tmp_path / culprit).write_bytes(content)
+    code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {tmp_path / culprit}: {message}\n")
 
 
 @pytest.mark.parametrize("value, flag, command", [

@@ -163,6 +163,7 @@ def test_coset_part_that_does_not_complete_names_the_whole_spec(z2):
     with pytest.raises(CosetLimitExceeded) as err:
         build_oracle(spec, z2)
     assert str(err.value).startswith(f"oracle spec {spec!r}: coset enumeration reached max_cosets=10000")
+    assert isinstance(err.value, ValueError)
 
 
 # rewriting oracle
