@@ -21,7 +21,7 @@ for n in (2, 4):
         holds = "yes" if all(v is True for v in verdicts) else "informational"
         marker = holds if r.applicable else "(balls differ before n)"
         print(f"{i}  {n}  {r.ball_agreement}      {r.delta_i_n}       {r.delta_n}"
-              f"     {r.K_i}    {r.delta_i_L}       {r.ratio}    {marker}")
+              f"     {r.K_i}    {r.delta_i_L}       {str(r.ratio).removesuffix('/1')}    {marker}")
 print()
 
 corollary = corollary_check(family, (3, 4, 5, 6), 4, caps)

@@ -25,6 +25,7 @@ from .dehn import (
     DehnComputationError,
     DehnValue,
     TheoremReport,
+    WorkerDied,
     compute_K,
     corollary_check,
     dehn,

@@ -11,7 +11,6 @@ miss and is recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -39,6 +38,8 @@ class ResultCache:
 
     @staticmethod
     def make_key(**parts) -> str:
+        import hashlib  # here, not at the top: it loads OpenSSL, which only dehn's keys need
+
         canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

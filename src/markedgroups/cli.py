@@ -25,12 +25,11 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache
-from .dehn import POOL_STATES, DehnComputationError, dehn, verify_family, worker_pool
+from .dehn import POOL_STATES, DehnComputationError, WorkerDied, dehn, verify_family, worker_pool
 from .families import get_family
 from .oracles import UnknownVerdictError, build_oracle
 from .presentations import Presentation, max_relator_length, parse_word, read_presentation
@@ -367,7 +366,7 @@ def cmd_verify_theorem(args) -> int:
             r.delta_n,
             r.K_i,
             r.delta_i_L,
-            "-" if r.ratio is None else f"{r.ratio.numerator}/{r.ratio.denominator}",
+            r.ratio or "-",
             mark(r.inequality_star_ok),
             mark(r.k_le_delta_L_ok),
             mark(r.ratio_le_delta_ok),
@@ -414,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownVerdictError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_VERDICT
-    except BrokenProcessPool as exc:
+    except WorkerDied as exc:
         print(f"error: a --workers process died: {exc}", file=sys.stderr)
         return EXIT_WORKER_DIED
 

@@ -27,14 +27,18 @@ reports of each radius, with no search of its own.
 The area searches of a table run through a ``map``: the builtin one, or
 the one :func:`worker_pool` gives a command, which runs searches in
 process until they have explored :data:`POOL_STATES` states and only
-then starts a process pool for the rest.  The budget sits where a
-2-process pool starts to pay.  On 2 cores a pool costs a command about
-25 ms to start, feed and join (`verify-theorem` on zxz, 42 states: 11
-ms in process, 37 ms with a pool), and one process explores about
-100-145k states/s.  So 10,000 states is about 80 ms on one core: a
-command below it is no slower in process (the 1,959 states of
-`verify-theorem` on dihedral i = 6 take 27 ms in process, 57 ms with a
-pool), and a command above it has run at most the budget plus the one
+then starts a process pool for the rest.  The pool's classes, and with
+them ``multiprocessing``, are imported when the first pool is built
+(this module's ``__getattr__`` gives ``ProcessPoolExecutor``), so
+importing the package loads neither, and a command that builds no pool
+never pays for them.  The budget sits where a 2-process pool starts to
+pay.  On 2 cores a pool costs a command about 45 ms to import, start,
+feed and join, about 20 ms of it the import (`verify-theorem` on zxz,
+42 states: 12 ms in process, 57 ms with a pool), and one process
+explores about 100-145k states/s.  So 10,000 states is about 80 ms on
+one core: a command below it is no slower in process (the 1,959 states
+of `verify-theorem` on dihedral i = 6 take 23 ms in process, 72 ms with
+a pool), and a command above it has run at most the budget plus the one
 search that crosses it (up to the node cap) on one core, which a
 2-process pool would at best have run in half the time: about 40 ms
 plus half that search.  The budget is a count, not a time, so where a
@@ -44,11 +48,11 @@ and run.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import groupby, islice
 
@@ -62,6 +66,7 @@ __all__ = [
     "DehnValue",
     "DehnTable",
     "DehnComputationError",
+    "WorkerDied",
     "TheoremReport",
     "CorollaryReport",
     "dehn",
@@ -90,6 +95,20 @@ class DehnComputationError(RuntimeError):
             f"on the trivial word {pres.word_str(word)!r}; raise --length-cap/--node-cap"
         )
         self.word = word
+
+
+class WorkerDied(RuntimeError):
+    """A process of a :func:`worker_pool` pool died; the message is the pool's own."""
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported when first read (PEP 562), so that
+    importing this module loads neither the pool nor ``multiprocessing``."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exact(value: int) -> dict:
@@ -195,7 +214,9 @@ def worker_pool(workers: int):
     through the name ``ProcessPoolExecutor`` of this module, at the
     first ``map`` that leaves it work, so a small command starts no
     process; it is shut down, its processes joined, when the context
-    exits, on success and on error alike.
+    exits, on success and on error alike.  A pool process that dies makes
+    the ``map`` raise :class:`WorkerDied` from the pool's
+    ``BrokenProcessPool``.
     """
     processes = min(workers, os.cpu_count() or 1)
     if processes <= 1:
@@ -213,11 +234,16 @@ def worker_pool(workers: int):
             results.append(fn(item))
             states += results[-1][1]
         rest = items[len(results):]
-        if rest:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=processes)
-            results += pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * processes)))
-        return results
+        if not rest:
+            return results
+        from concurrent.futures.process import BrokenProcessPool
+
+        if pool is None:
+            pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=processes)
+        try:
+            return results + list(pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * processes))))
+        except BrokenProcessPool as exc:
+            raise WorkerDied(*exc.args) from exc
 
     try:
         yield fan_out
@@ -311,9 +337,12 @@ class TheoremReport:
     L: int
 
     @property
-    def ratio(self) -> Fraction | None:
-        """delta_i(n) / delta_i(L), or None when delta_i(L) = 0."""
-        return Fraction(self.delta_i_n, self.delta_i_L) if self.delta_i_L > 0 else None
+    def ratio(self) -> str | None:
+        """delta_i(n) / delta_i(L) in lowest terms as ``"p/q"``, or None when delta_i(L) = 0."""
+        if self.delta_i_L <= 0:
+            return None
+        g = math.gcd(self.delta_i_n, self.delta_i_L)
+        return f"{self.delta_i_n // g}/{self.delta_i_L // g}"
 
     @property
     def inequality_star_ok(self) -> bool:
@@ -327,9 +356,9 @@ class TheoremReport:
 
     @property
     def ratio_le_delta_ok(self) -> bool | None:
-        """(c) delta_i(n) / delta_i(L) <= delta(n), or None without a ratio."""
-        ratio = self.ratio
-        return None if ratio is None else ratio <= self.delta_n
+        """(c) delta_i(n) / delta_i(L) <= delta(n), tested as delta_i(n) <=
+        delta(n) * delta_i(L); None without a ratio."""
+        return None if self.delta_i_L <= 0 else self.delta_i_n <= self.delta_n * self.delta_i_L
 
     @property
     def applicable(self) -> bool:
@@ -343,7 +372,6 @@ class TheoremReport:
         return not (self.applicable and (not self.inequality_star_ok or self.ratio_le_delta_ok is False))
 
     def to_json(self) -> dict:
-        ratio = self.ratio
         return {
             "i": self.i,
             "n": self.n,
@@ -353,7 +381,7 @@ class TheoremReport:
             "K_i": _exact(self.K_i),
             "delta_i_L": _exact(self.delta_i_L),
             "L": self.L,
-            "ratio": None if ratio is None else f"{ratio.numerator}/{ratio.denominator}",
+            "ratio": self.ratio,
             "inequality_star_ok": self.inequality_star_ok,
             "k_le_delta_L_ok": self.k_le_delta_L_ok,
             "ratio_le_delta_ok": self.ratio_le_delta_ok,

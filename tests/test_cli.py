@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -860,6 +861,32 @@ def test_dead_worker_is_exit_6(command, monkeypatch, pool_at_once, capsys):
     assert (code, out) == (6, "")
     assert err.startswith("error: a --workers process died: ") and err.count("\n") == 1
     assert multiprocessing.active_children() == []
+
+
+FIRST_USE_MODULES = ("concurrent.futures", "multiprocessing", "hashlib", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["area", "-p", str(AREA_GOLDEN / "z2.pres"), "-w", "[x,y]"], []),
+    (["converge", "--family", "zxz", "--i", "3..5"], []),
+    # below the pool budget a --workers 2 command starts no pool, so loads none
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--workers", "2"], ["hashlib"]),
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--workers", "1"], ["hashlib"]),
+], ids=["import", "area", "converge", "dehn-workers-2", "dehn-workers-1"])
+def test_modules_load_at_first_use(argv, loaded):
+    # a fresh interpreter: this one has loaded multiprocessing itself
+    script = (
+        "import sys\n"
+        "import markedgroups, markedgroups.cli\n"
+        f"argv = {argv!r}\n"
+        "code = markedgroups.cli.main(argv) if argv else 0\n"
+        f"print(code, [m for m in {FIRST_USE_MODULES!r} if m in sys.modules], file=sys.stderr)\n"
+    )
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == f"0 {loaded!r}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

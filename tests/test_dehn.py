@@ -1,6 +1,8 @@
 import importlib
 import json
 import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -10,6 +12,7 @@ from markedgroups.dehn import (
     DehnComputationError,
     DehnValue,
     TheoremReport,
+    WorkerDied,
     _area_value,
     _orbits,
     compute_K,
@@ -151,7 +154,7 @@ def test_theorem_zxz_i5_n4():
     assert report.K_i == 1
     assert report.delta_i_L == 1
     assert report.L == 4
-    assert str(report.ratio) == "1"
+    assert report.ratio == "1/1"
     assert report.inequality_star_ok and report.k_le_delta_L_ok and report.ratio_le_delta_ok
     assert report.applicable and report.all_pass
 
@@ -194,12 +197,12 @@ def test_theorem_tight_ratio_cases():
     assert report.applicable
     assert report.delta_i_n == 2 and report.delta_n == 2
     assert report.delta_i_L == 1
-    assert str(report.ratio) == "2"
+    assert report.ratio == "2/1"
     assert report.ratio_le_delta_ok and report.inequality_star_ok
     report = theorem_check(fam("dihedral"), 3, 4, Caps(12, 10**6))
     assert report.applicable
     assert report.delta_i_n == 2 and report.delta_n == 2
-    assert str(report.ratio) == "2"
+    assert report.ratio == "2/1"
     assert report.all_pass
 
 
@@ -304,6 +307,22 @@ def test_dehn_uses_the_callers_pool(z2, opened_pools, pool_at_once):
         assert multiprocessing.active_children() != []
     assert tables == [dehn(z2, oracle, n, CAPS) for n in (4, 6)]
     assert len(opened_pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _exit_worker(item):
+    """Kills the pool process that runs it."""
+    os._exit(9)
+
+
+def test_dead_worker_raises_worker_died(monkeypatch, pool_at_once):
+    # two CPUs however many the machine has, so the map is the pool's, not the builtin one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(WorkerDied) as info:
+        with worker_pool(2) as fan_out:
+            fan_out(_exit_worker, [(1,), (2,)])
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert str(info.value) == str(info.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
