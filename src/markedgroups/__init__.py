@@ -22,7 +22,6 @@ from .area import (
 from .coset import CayleyTable, coset_enumerate
 from .dehn import (
     CorollaryReport,
-    DehnComputationError,
     DehnValue,
     TheoremReport,
     WorkerDied,

@@ -83,6 +83,7 @@ from .words import (
     letters_to_str,
     shell,
     str_to_letters,
+    word_to_str,
 )
 
 __all__ = [
@@ -178,16 +179,24 @@ class AreaResult:
 
 
 class AreaNotFound(Exception):
-    """The caps were exhausted before the empty word was reached."""
+    """The caps were exhausted before the empty word was reached.
 
-    def __init__(self, word: Word, caps: Caps, stats: SearchStats):
-        super().__init__(
-            f"no derivation found within caps (length {caps.length_cap}, "
-            f"nodes {caps.node_cap}); explored {stats.states_explored} states"
-        )
+    Its ``args`` are the constructor's, so it pickles back from a pool
+    process, and its message names the word under the generator names.
+    """
+
+    def __init__(self, word: Word, caps: Caps, stats: SearchStats, names: tuple[str, ...]):
+        super().__init__(word, caps, stats, names)
         self.word = word
         self.caps = caps
         self.stats = stats
+        self.names = names
+
+    def __str__(self) -> str:
+        return (
+            f"no derivation of {word_to_str(self.word, self.names)!r} within caps (length {self.caps.length_cap}, "
+            f"nodes {self.caps.node_cap}); explored {self.stats.states_explored} states"
+        )
 
 
 def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> AreaResult:
@@ -247,7 +256,7 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
                     drop = (winding.cells, winds, corners)
             for mi, pos, nxt in _successors(state, length_cap, tables, move_strs, parents, drop):
                 if nxt and len(parents) >= node_cap:
-                    raise AreaNotFound(w, caps, SearchStats(len(parents), length_cap))
+                    raise AreaNotFound(w, caps, SearchStats(len(parents), length_cap), pres.gen_names)
                 parents[nxt] = (state, mi, pos)
                 if not nxt:
                     break
@@ -261,7 +270,7 @@ def area_search(pres: Presentation, w: Word, length_cap: int, node_cap: int) -> 
 
     stats = SearchStats(len(parents), length_cap)
     if "" not in parents:
-        raise AreaNotFound(w, caps, stats)
+        raise AreaNotFound(w, caps, stats, pres.gen_names)
 
     # Walk parents from the identity back to the word, one factor per
     # splice; reversing gives them in application order.

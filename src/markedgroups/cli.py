@@ -29,7 +29,7 @@ import sys
 from . import __version__
 from .area import AreaNotFound, Caps, area_search
 from .cache import ResultCache
-from .dehn import POOL_STATES, DehnComputationError, WorkerDied, dehn, verify_family, worker_pool
+from .dehn import POOL_STATES, WorkerDied, dehn, verify_family, worker_pool
 from .families import get_family
 from .oracles import UnknownVerdictError, build_oracle
 from .presentations import Presentation, max_relator_length, parse_word, read_presentation
@@ -273,11 +273,14 @@ def cmd_dehn(args) -> int:
     length_cap = _default_length_cap(args, max(radii), pres)
     caps = Caps(length_cap, args.node_cap)
     cache = ResultCache(args.cache_dir)
-    keys = {
-        n: ResultCache.make_key(op="dehn", presentation=pres.to_text(), oracle=oracle.spec, n=n,
-                                length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
-        for n in radii
-    }
+    # a key serialises the presentation and loads hashlib, so none is built without a cache
+    keys = dict.fromkeys(radii)
+    if cache.enabled:
+        keys = {
+            n: ResultCache.make_key(op="dehn", presentation=pres.to_text(), oracle=oracle.spec, n=n,
+                                    length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
+            for n in radii
+        }
     rows = {n: cache.get(key) for n, key in keys.items()}
     missing = [n for n, hit in rows.items() if not _is_dehn_row(hit, n)]
     with worker_pool(args.workers) as fan_out:
@@ -407,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AreaNotFound, DehnComputationError) as exc:
+    except AreaNotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except UnknownVerdictError as exc:

@@ -56,16 +56,15 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
 
-from .area import AreaNotFound, Caps, area_search
+from .area import Caps, area_search
 from .oracles import Oracle
 from .presentations import Presentation, _cyclic_reduce, apply_symmetry, max_relator_length, splice_symmetries
 from .space import distance, trivial_letters
-from .words import Word, letters_key, letters_to_str, signed_letters, str_to_letters
+from .words import Word, letters_to_str, signed_letters, str_to_letters
 
 __all__ = [
     "DehnValue",
     "DehnTable",
-    "DehnComputationError",
     "WorkerDied",
     "TheoremReport",
     "CorollaryReport",
@@ -84,17 +83,6 @@ MAX_WITNESSES = 8
 # In-process area-search states after which worker_pool starts its pool;
 # the module docstring gives the reason for the value.
 POOL_STATES = 10_000
-
-
-class DehnComputationError(RuntimeError):
-    """A trivial word's area search ran out of caps."""
-
-    def __init__(self, word: Word, pres: Presentation, caps: Caps):
-        super().__init__(
-            f"area search exhausted caps (length {caps.length_cap}, nodes {caps.node_cap}) "
-            f"on the trivial word {pres.word_str(word)!r}; raise --length-cap/--node-cap"
-        )
-        self.word = word
 
 
 class WorkerDied(RuntimeError):
@@ -154,11 +142,9 @@ class DehnTable:
 
 
 def _area_value(pres: Presentation, caps: Caps, letters: tuple[int, ...]) -> tuple[int, int]:
-    """The area of a word, -1 when the caps ran out, and the states its search explored."""
-    try:
-        result = area_search(pres, Word(pres.ngens, letters), caps.length_cap, caps.node_cap)
-    except AreaNotFound as exc:
-        return -1, exc.stats.states_explored
+    """The area of a word and the states its search explored; raises
+    :class:`~markedgroups.area.AreaNotFound` when the caps run out."""
+    result = area_search(pres, Word(pres.ngens, letters), caps.length_cap, caps.node_cap)
     return result.value, result.stats.states_explored
 
 
@@ -255,9 +241,9 @@ def worker_pool(workers: int):
 def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) -> DehnTable:
     """List the trivial words of the ball, record their areas per length.
 
-    The trivial words come from :func:`trivial_letters` and are taken in
-    length-lex order.  For each length the table keeps the largest area
-    and the first :data:`MAX_WITNESSES` words of that area, from which
+    The trivial words come from :func:`trivial_letters` in length-lex
+    order, less the empty word.  For each length the table keeps the
+    largest area and the first :data:`MAX_WITNESSES` words of that area, from which
     :meth:`DehnTable.at` reads the entry of every radius up to n.  The
     caps do not depend on the radius, so that entry is the one a table
     computed at the smaller radius would give.
@@ -282,14 +268,16 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
     and the states it explored; the table reads only the values.
     Results come back in enumeration order, which keeps the outcome
     identical for any worker count.
+
+    A search that runs out of caps raises its
+    :class:`~markedgroups.area.AreaNotFound`, from a pool process too,
+    at the first failing item.  A representative is its class's least
+    word, so the one named is the first trivial word whose value fails.
     """
-    trivial = sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key)
+    trivial = trivial_letters(oracle, pres.ngens, n)[1:]
     reps, word_orbit = _orbits(pres, trivial)
     rep_values = [value for value, _ in fan_out(partial(_area_value, pres, caps), reps)]
     values = [rep_values[orbit] for orbit in word_orbit]
-    for letters, value in zip(trivial, values):
-        if value < 0:
-            raise DehnComputationError(Word(pres.ngens, letters), pres, caps)
     lengths = [(0, ())] * (n + 1)
     for length, group in groupby(zip(trivial, values), key=lambda item: len(item[0])):
         group = list(group)

@@ -88,10 +88,12 @@ class MarkedDistance:
 
 
 def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, ...]]:
-    """Letter tuples of the trivial reduced words of length <= radius, in no set order.
+    """Letter tuples of the trivial reduced words of length <= radius, in length-lex order.
 
     A depth-first search over reduced prefixes that drops a prefix once
-    its ``identity_distance`` exceeds the letters left.  When the oracle
+    its ``identity_distance`` exceeds the letters left.  It pushes the
+    letters in reverse order, so each length comes out in code order,
+    and a stable sort by length gives length-lex order.  When the oracle
     has no automaton, every word of :func:`enumerate_ball` is put to
     :meth:`Oracle.decide` in length-lex order instead.
     """
@@ -101,7 +103,7 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
     if state is None:
         return [w.letters for w in enumerate_ball(ngens, radius) if oracle.decide(w)]
     step, identity_distance = oracle.step, oracle.identity_distance
-    alphabet = signed_letters(ngens)
+    alphabet = signed_letters(ngens)[::-1]
     found = []
     stack = [((), state, 0)]  # (letters, state, identity distance)
     while stack:
@@ -118,6 +120,7 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
                 d = identity_distance(nxt)
                 if d <= room:
                     stack.append((letters + (x,), nxt, d))
+    found.sort(key=len)
     return found
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 
@@ -72,6 +73,18 @@ def test_node_cap_exhaustion_raises(d3):
     w = parse_word("a b a b^-1 a^-1 b^-1", d3.gen_names)
     with pytest.raises(AreaNotFound):
         area_search(d3, w, 12, 3)
+
+
+def test_area_not_found_pickles_with_its_word(d3):
+    # a pool worker's exception crosses back to the command by pickle
+    w = parse_word("a b a b^-1 a^-1 b^-1", d3.gen_names)
+    with pytest.raises(AreaNotFound) as info:
+        area_search(d3, w, 12, 3)
+    exc = info.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is AreaNotFound
+    assert (back.word, back.caps, back.stats, str(back)) == (exc.word, exc.caps, exc.stats, str(exc))
+    assert str(exc) == "no derivation of 'a b a b^-1 a^-1 b^-1' within caps (length 12, nodes 3); explored 3 states"
 
 
 def test_node_cap_admits_the_identity_beyond_the_cap(a3):

@@ -174,7 +174,7 @@ def reference_area_search(pres, w, length_cap, node_cap, prune=False):
                     explored += 1
                     break
                 if explored >= node_cap:
-                    raise AreaNotFound(w, caps, SearchStats(explored, length_cap))
+                    raise AreaNotFound(w, caps, SearchStats(explored, length_cap), pres.gen_names)
                 parents[nxt] = (state, mi, pos)
                 explored += 1
                 next_frontier.append(nxt)
@@ -185,7 +185,7 @@ def reference_area_search(pres, w, length_cap, node_cap, prune=False):
 
     stats = SearchStats(explored, length_cap)
     if goal_entry is None:
-        raise AreaNotFound(w, caps, stats)
+        raise AreaNotFound(w, caps, stats, pres.gen_names)
 
     steps = []
     node = ()

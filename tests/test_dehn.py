@@ -6,10 +6,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from markedgroups.area import Caps, area_exact_small, area_search
+from markedgroups.area import AreaNotFound, Caps, area_exact_small, area_search
 from markedgroups.dehn import (
     MAX_WITNESSES,
-    DehnComputationError,
     DehnValue,
     TheoremReport,
     WorkerDied,
@@ -100,9 +99,11 @@ def test_dehn_rejects_unknown_oracle(a3):
 
 
 def test_dehn_caps_too_small_reports_word(a3):
-    with pytest.raises(DehnComputationError) as err:
+    # a^3 is the first trivial word, and one state is all the node cap allows
+    with pytest.raises(AreaNotFound) as err:
         dehn(a3, build_oracle("abelian:3", a3), 9, Caps(9, 1))
-    assert err.value.word is not None
+    assert err.value.word == make_word(1, (1, 1, 1))
+    assert str(err.value) == "no derivation of 'a^3' within caps (length 9, nodes 1); explored 1 states"
 
 
 def test_dehn_workers_match_serial(z2):

@@ -8,6 +8,8 @@ the sweep did before the reduction.
 """
 
 import importlib
+import multiprocessing
+import os
 from itertools import permutations, product
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from markedgroups.area import AreaNotFound, Caps, area_search
-from markedgroups.dehn import DehnComputationError, DehnValue, _area_value, _orbits, dehn, worker_pool
+from markedgroups.dehn import DehnValue, _orbits, dehn, worker_pool
 from markedgroups.families import get_family
 from markedgroups.oracles import build_oracle
 from markedgroups.presentations import (
@@ -56,12 +58,8 @@ def reference_dehn(pres, oracle, n, caps):
             w = Word(pres.ngens, letters)
             if not oracle.decide(w):
                 continue
-            try:
-                value = area_search(pres, w, caps.length_cap, caps.node_cap).value
-            except AreaNotFound:
-                raise DehnComputationError(w, pres, caps) from None
             trivial.append(w)
-            values.append(value)
+            values.append(area_search(pres, w, caps.length_cap, caps.node_cap).value)
     if not trivial:
         return DehnValue(n, 0, ())
     vmax = max(values)
@@ -89,17 +87,26 @@ def test_orbit_reduced_dehn_matches_per_word_reference(name):
                 table.at(n)
 
 
-def test_cap_exhaustion_reports_the_same_word():
-    # x = x^3 * x^-2 needs an intermediate word of length 2
-    pres = parse_presentation("gens: x y\nrels: x^2; x^3; y^2; y^3")
-    oracle = build_oracle("coset", pres)
-    caps = Caps(1, 10**6)
-    with pytest.raises(DehnComputationError) as expected:
-        reference_dehn(pres, oracle, 1, caps)
-    for workers in (1, 2, 3):
-        with worker_pool(workers) as fan_out, pytest.raises(DehnComputationError) as got:
-            dehn(pres, oracle, 1, caps, fan_out)
-        assert got.value.word == expected.value.word
+def test_cap_exhaustion_reports_the_same_word(monkeypatch, opened_pools, pool_at_once):
+    # every search runs in a pool of `workers` processes, on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    coxeter = parse_presentation("gens: x y\nrels: x^2; x^3; y^2; y^3")
+    cases = [
+        # x = x^3 * x^-2 needs an intermediate word of length 2: the first search fails
+        (coxeter, build_oracle("coset", coxeter), 1, Caps(1, 10**6), "x"),
+        # 16 class searches succeed within 200 states before the 17th fails
+        (*get_family("dihedral").member(3), 6, Caps(8, 200), "a b a b^-1 a^-1 b^-1"),
+    ]
+    for pres, oracle, n, caps, word in cases:
+        with pytest.raises(AreaNotFound) as expected:
+            reference_dehn(pres, oracle, n, caps)
+        assert pres.word_str(expected.value.word) == word
+        for workers in (1, 2, 3):
+            with worker_pool(workers) as fan_out, pytest.raises(AreaNotFound) as got:
+                dehn(pres, oracle, n, caps, fan_out)
+            assert (got.value.word, str(got.value)) == (expected.value.word, str(expected.value)), (word, workers)
+            assert len(opened_pools) == (workers > 1) and multiprocessing.active_children() == []
+            opened_pools.clear()
 
 
 def test_one_search_per_orbit(monkeypatch):
@@ -232,9 +239,9 @@ def test_class_value_is_the_words_own_area(name, n, extra):
     caps = Caps(n + extra, 10**6)
     words = sorted(filter(None, trivial_letters(oracle, pres.ngens, n)), key=letters_key)
     reps, word_orbit = _orbits(pres, words)
-    rep_values = [_area_value(pres, caps, rep)[0] for rep in reps]
+    rep_values = [_area(pres, rep, caps) for rep in reps]
     for letters, orbit in zip(words, word_orbit):
-        assert rep_values[orbit] == _area_value(pres, caps, letters)[0], (name, caps, letters)
+        assert rep_values[orbit] == _area(pres, letters, caps), (name, caps, letters)
 
 
 # Property: the code-string class keys of dehn._orbits give the classes of

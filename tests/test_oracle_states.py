@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markedgroups.area import Caps
-from markedgroups.dehn import DehnComputationError, dehn
+from markedgroups.area import AreaNotFound, Caps
+from markedgroups.dehn import dehn
 from markedgroups.families import get_family
 from markedgroups.oracles import (
     AbelianOracle,
@@ -26,7 +26,7 @@ from markedgroups.oracles import (
     build_oracle,
 )
 from markedgroups.presentations import parse_presentation
-from markedgroups.space import distance, rel_ball
+from markedgroups.space import distance, rel_ball, trivial_letters
 from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce, signed_letters
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -148,10 +148,18 @@ def test_rel_ball_equals_the_scan(name, radius):
     assert rel_ball(pres, oracle, radius) == rel_ball(pres, ScanOracle(oracle), radius)
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_trivial_letters_come_in_the_scan_order(name):
+    # the same words in the same order, length-lex: dehn reads them in order
+    pres, oracle = GROUPS[name]
+    radius = 5 if pres.ngens == 3 else 8
+    assert trivial_letters(oracle, pres.ngens, radius) == trivial_letters(ScanOracle(oracle), pres.ngens, radius)
+
+
 def _dehn_outcome(pres, oracle, n, caps):
     try:
         return dehn(pres, oracle, n, caps)
-    except DehnComputationError as exc:
+    except AreaNotFound as exc:
         return ("error", str(exc), exc.word)
 
 
