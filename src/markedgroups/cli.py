@@ -15,7 +15,8 @@ Exit codes: 0 success; 2 input or parse error, including a path that
 cannot be read and a file that cannot be decoded; 3 area not found
 within caps; 4 unknown oracle verdict; 5 a checked inequality failed
 (which would mean an implementation bug); 6 a worker process of
---workers died.
+--workers died; 141 (128 + SIGPIPE) the reader closed stdout early,
+which prints nothing more.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -41,6 +43,7 @@ EXIT_NOT_FOUND = 3
 EXIT_UNKNOWN_VERDICT = 4
 EXIT_VERDICT_FAILED = 5
 EXIT_WORKER_DIED = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def _positive_int(text: str) -> int:
@@ -406,7 +409,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # a reader such as `head` closed the pipe: not an input error; stdout
+        # goes to devnull so the flush at shutdown fails neither loudly nor again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

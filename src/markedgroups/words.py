@@ -130,9 +130,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def sort_key(self) -> tuple:
-        return letters_key(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         if self.ngens != other.ngens:
             raise ValueError("cannot multiply words over different markings")

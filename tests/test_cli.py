@@ -894,6 +894,24 @@ def test_modules_load_at_first_use(argv, loaded, tmp_path):
     assert proc.stderr == f"0 {loaded!r}\n"
 
 
+def test_closed_stdout_pipe_exits_141_without_a_message():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # 700 kB table is far more than a pipe holds, so the writer is still writing
+    paths = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    argv = ["rel-ball", "--family", "dihedral", "--i", "8", "--radius", "11", "--format", "table"]
+    proc = subprocess.Popen([sys.executable, "-m", "markedgroups", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().split() == [b"member"]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["converge", "--family", "zxz", "--i", "a..5"], "--i 'a..5': expected an integer or a range A..B"),
     (["converge", "--family", "zxz", "--i", "3..99999999999999999999"],

@@ -26,8 +26,9 @@ from markedgroups.oracles import (
     build_oracle,
 )
 from markedgroups.presentations import parse_presentation
-from markedgroups.space import distance, rel_ball, trivial_letters
-from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce, signed_letters
+import markedgroups.space as space
+from markedgroups.space import RelationBall, distance, rel_ball, trivial_letters
+from markedgroups.words import Word, ball_size, enumerate_ball, free_reduce, letters_key, signed_letters
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -64,6 +65,7 @@ def _group(name):
         "z2xz3_product": ("gens: x y\nrels: [x,y]; y^3", "product:x=abelian:0;y=abelian:3"),
         "z025": ("gens: a b c\nrels: [a,b]; [a,c]; [b,c]; b^2; c^5", "abelian:0,2,5"),
         "f2xz_product": ("gens: a b c\nrels: [a,c]; [b,c]", "product:a,b=free;c=abelian:0"),
+        "dinf3": ("gens: a b c\nrels: a^2; b^2; c^2", "rewriting:involutions"),
     }[name])
 
 
@@ -145,7 +147,12 @@ def test_rel_ball_equals_the_scan(name, radius):
     pres, oracle = GROUPS[name]
     if pres.ngens == 3:
         radius = min(radius, 5)
-    assert rel_ball(pres, oracle, radius) == rel_ball(pres, ScanOracle(oracle), radius)
+    ball, scanned = rel_ball(pres, oracle, radius), rel_ball(pres, ScanOracle(oracle), radius)
+    assert ball == scanned
+    # both print their words as the members sorted length-lex
+    for b in (ball, scanned):
+        ordered = sorted(b.members, key=lambda w: letters_key(w.letters))
+        assert b.to_json(pres)["members"] == [pres.word_str(w) for w in ordered]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -247,6 +254,75 @@ def test_distance_expands_each_state_pair_once():
     d = distance(member_pres, member, limit_pres, limit_oracle, 120)
     assert d.kind == "exact" and d.lam == 99
     assert member.steps <= 594
+
+
+def reference_trivial_letters(oracle, ngens, radius):
+    """The walk without transition rows: ``step`` and ``identity_distance`` at every prefix."""
+    alphabet = signed_letters(ngens)[::-1]
+    found = []
+    stack = [((), oracle.start(ngens), 0)]
+    while stack:
+        letters, state, d = stack.pop()
+        if d == 0:
+            found.append(letters)
+        room = radius - len(letters) - 1
+        if room < 0:
+            continue
+        last = letters[-1] if letters else 0
+        for x in alphabet:
+            if x != -last:
+                nxt = oracle.step(state, x)
+                d = oracle.identity_distance(nxt)
+                if d <= room:
+                    stack.append((letters + (x,), nxt, d))
+    found.sort(key=len)
+    return found
+
+
+@pytest.mark.parametrize("name, radius, direct", [
+    ("z2xz5", 9, False),
+    ("z5xz", 4, True),
+    ("z5xz", 8, False),
+    ("dihedral5", 8, False),
+    ("dinf", 9, False),
+    ("dinf3", 6, False),
+    ("f2", 3, False),
+    ("f2", 9, True),
+    ("zxz5_product", 5, True),
+    ("zxz5_product", 9, False),
+    ("f2xz_product", 5, True),
+])
+def test_trivial_letters_match_the_walk_without_rows(name, radius, direct, monkeypatch):
+    # direct: whether the row bound leaves some states without a row, so
+    # the walk below them steps at every prefix
+    pres, oracle = _group(name)
+    subwalks = []
+    walk_direct = space._walk_direct
+    monkeypatch.setattr(space, "_walk_direct", lambda *args: subwalks.append(walk_direct(*args)))
+    counted, reference = CountingOracle(oracle), CountingOracle(oracle)
+    expected = reference_trivial_letters(reference, pres.ngens, radius)
+    assert trivial_letters(counted, pres.ngens, radius) == expected
+    assert bool(subwalks) == direct
+    assert counted.steps <= reference.steps
+    ball = rel_ball(pres, oracle, radius)
+    assert ball == RelationBall(radius, tuple(expected), pres.ngens)
+    assert ball.members == frozenset(Word(pres.ngens, letters) for letters in expected)
+
+
+def test_product_ball_steps_each_state_once():
+    # Z x Z/3 at radius 8 meets 23 states; stepping at every prefix takes 4,762 steps
+    pres, oracle = GROUPS["z2xz3_product"]
+    counted = CountingOracle(oracle)
+    assert len(trivial_letters(counted, pres.ngens, 8)) == 609
+    assert counted.steps <= 23 * 4
+
+
+def test_free_walk_keeps_the_steps_of_the_walk_without_rows():
+    # no state of a free group repeats, so no row is ever read twice
+    pres, oracle = GROUPS["f2"]
+    counted = CountingOracle(oracle)
+    assert trivial_letters(counted, pres.ngens, 16) == [()]
+    assert counted.steps == 39_364
 
 
 def _mismatched_oracles():

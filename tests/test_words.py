@@ -149,7 +149,7 @@ def test_ball_words_equal_validated_words(ngens):
 
 def test_ball_is_length_lex_sorted():
     words = list(enumerate_ball(2, 4))
-    keys = [w.sort_key() for w in words]
+    keys = [letters_key(w.letters) for w in words]
     assert keys == sorted(keys)
 
 
