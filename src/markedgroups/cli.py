@@ -4,7 +4,12 @@ Subcommands: area, dehn, rel-ball, dist, converge, verify-theorem.
 Each takes --format table|json|csv, --cache-dir (read only by dehn; no
 cache without it) and only the options it reads: --length-cap and
 --node-cap (area, dehn, verify-theorem), --workers (dehn,
-verify-theorem), --lambda-max (dist, converge).
+verify-theorem), --lambda-max (dist, converge).  Each option is
+declared once, in ``_OPTIONS``, and each subcommand once, in
+``_COMMANDS``, which both ``build_parser`` and ``main`` read.  Integer
+options are bounded by their type: --node-cap and --workers are at
+least 1, --radius and --lambda-max at least 0, and a smaller value is
+a parse error that names the flag.
 
 dehn, rel-ball and dist name each group in one of two ways: a
 presentation file with an oracle spec, which defaults to free for a
@@ -46,88 +51,47 @@ EXIT_WORKER_DIED = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, refused with the flag named."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
+# dest -> (flags, add_argument settings); a subcommand makes an option required in _COMMANDS
 _OPTIONS = {
-    "--length-cap": dict(type=int, default=None, help="max intermediate word length in area searches"),
-    "--node-cap": dict(type=_positive_int, default=1_000_000, help="max states explored per area search"),
-    "--lambda-max": dict(type=int, default=10, help="largest radius scanned for ball agreement"),
-    "--workers": dict(
-        type=_positive_int, default=1,
+    "presentation": (("-p", "--presentation"), dict(help="presentation file")),
+    "word": (("-w", "--word"), dict(help="word expression")),
+    "p1": (("-p1", "--p1"), dict(help="first presentation file")),
+    "oracle1": (("--oracle1",), dict(help="oracle spec for the first group")),
+    "p2": (("-p2", "--p2"), dict(help="second presentation file")),
+    "oracle2": (("--oracle2",), dict(help="oracle spec for the second group")),
+    "oracle": (("--oracle",), dict(help="oracle spec, e.g. abelian:0,5")),
+    "family": (("--family",), dict(help="built-in family name or manifest path")),
+    "i": (("--i",), dict(help="family index; converge and verify-theorem take a range like 3..7 or a comma list")),
+    "n": (("--n",), dict(help="comma-separated radii, e.g. 2,4,6")),
+    "radius": (("--radius",), dict(type=_int_at_least(0), help="largest word length in the ball")),
+    "format": (("--format",), dict(choices=("table", "json", "csv"), default="table")),
+    "cache_dir": (("--cache-dir",), dict(help="result cache directory, off when not given; only dehn reads it")),
+    "length_cap": (("--length-cap",), dict(type=int, help="max intermediate word length in area searches")),
+    "node_cap": (("--node-cap",), dict(type=_int_at_least(1), default=1_000_000,
+                                       help="max states explored per area search")),
+    "workers": (("--workers",), dict(
+        type=_int_at_least(1), default=1,
         help="worker processes for per-word area searches, started only once the command's "
              f"searches have explored {POOL_STATES:,} states in process; output does not depend on it",
-    ),
+    )),
+    "lambda_max": (("--lambda-max",), dict(type=_int_at_least(0), default=10,
+                                          help="largest radius scanned for ball agreement")),
 }
-
-
-def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    """--format and --cache-dir, then the named entries of ``_OPTIONS``."""
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory, off when not given; only dehn reads it"
-    )
-    for name in names:
-        parser.add_argument(name, **_OPTIONS[name])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="markedgroups",
-        description="Relation balls, marked-group distances, word areas and Dehn tables.",
-    )
-    parser.add_argument("--version", action="version", version=f"markedgroups {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_area = sub.add_parser("area", help="area of a word with a verifiable certificate")
-    p_area.add_argument("-p", "--presentation", required=True, help="presentation file")
-    p_area.add_argument("-w", "--word", required=True, help="word expression")
-    _add_options(p_area, "--length-cap", "--node-cap")
-
-    p_dehn = sub.add_parser("dehn", help="Dehn-function table over a list of radii")
-    p_dehn.add_argument("-p", "--presentation", help="presentation file")
-    p_dehn.add_argument("--oracle", help="oracle spec, e.g. abelian:0,5")
-    p_dehn.add_argument("--family", help="built-in family name or manifest path")
-    p_dehn.add_argument("--i", help="family index")
-    p_dehn.add_argument("--n", required=True, help="comma-separated radii, e.g. 2,4,6")
-    _add_options(p_dehn, "--length-cap", "--node-cap", "--workers")
-
-    p_ball = sub.add_parser("rel-ball", help="relation ball of one marked group")
-    p_ball.add_argument("-p", "--presentation", help="presentation file")
-    p_ball.add_argument("--oracle", help="oracle spec")
-    p_ball.add_argument("--family", help="built-in family name or manifest path")
-    p_ball.add_argument("--i", help="family index")
-    p_ball.add_argument("--radius", type=int, required=True)
-    _add_options(p_ball)
-
-    p_dist = sub.add_parser("dist", help="distance between two marked groups")
-    p_dist.add_argument("-p1", "--p1", help="first presentation file")
-    p_dist.add_argument("--oracle1", help="oracle spec for the first group")
-    p_dist.add_argument("-p2", "--p2", help="second presentation file")
-    p_dist.add_argument("--oracle2", help="oracle spec for the second group")
-    p_dist.add_argument("--family", help="family member vs limit instead of two files")
-    p_dist.add_argument("--i", help="family index")
-    _add_options(p_dist, "--lambda-max")
-
-    p_conv = sub.add_parser("converge", help="distance of each family member to the limit")
-    p_conv.add_argument("--family", required=True)
-    p_conv.add_argument("--i", required=True, help="range like 3..7 or comma list")
-    _add_options(p_conv, "--lambda-max")
-
-    p_thm = sub.add_parser("verify-theorem", help="check the convergence inequalities member by member")
-    p_thm.add_argument("--family", required=True)
-    p_thm.add_argument("--i", required=True, help="range like 3..6 or comma list")
-    p_thm.add_argument("--n", required=True, help="comma-separated radii")
-    _add_options(p_thm, "--length-cap", "--node-cap", "--workers")
-
-    return parser
 
 
 def _parse_indices(text: str) -> list[int]:
@@ -395,21 +359,43 @@ def cmd_verify_theorem(args) -> int:
     return EXIT_VERDICT_FAILED if failed else EXIT_OK
 
 
+# name -> (handler, help, required options, every option in usage order)
 _COMMANDS = {
-    "area": cmd_area,
-    "dehn": cmd_dehn,
-    "rel-ball": cmd_rel_ball,
-    "dist": cmd_dist,
-    "converge": cmd_converge,
-    "verify-theorem": cmd_verify_theorem,
+    "area": (cmd_area, "area of a word with a verifiable certificate", ("presentation", "word"),
+             ("presentation", "word", "format", "cache_dir", "length_cap", "node_cap")),
+    "dehn": (cmd_dehn, "Dehn-function table over a list of radii", ("n",),
+             ("presentation", "oracle", "family", "i", "n", "format", "cache_dir", "length_cap", "node_cap", "workers")),
+    "rel-ball": (cmd_rel_ball, "relation ball of one marked group", ("radius",),
+                 ("presentation", "oracle", "family", "i", "radius", "format", "cache_dir")),
+    "dist": (cmd_dist, "distance between two marked groups", (),
+             ("p1", "oracle1", "p2", "oracle2", "family", "i", "format", "cache_dir", "lambda_max")),
+    "converge": (cmd_converge, "distance of each family member to the limit", ("family", "i"),
+                 ("family", "i", "format", "cache_dir", "lambda_max")),
+    "verify-theorem": (cmd_verify_theorem, "check the convergence inequalities member by member", ("family", "i", "n"),
+                       ("family", "i", "n", "format", "cache_dir", "length_cap", "node_cap", "workers")),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="markedgroups",
+        description="Relation balls, marked-group distances, word areas and Dehn tables.",
+    )
+    parser.add_argument("--version", action="version", version=f"markedgroups {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, required, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for dest in options:
+            flags, settings = _OPTIONS[dest]
+            command.add_argument(*flags, required=dest in required, **settings)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = _COMMANDS[args.command][0]
     try:
-        code = _COMMANDS[args.command](args)
+        code = handler(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at shutdown
         return code
     except BrokenPipeError:

@@ -113,8 +113,7 @@ def coset_enumerate(pres: Presentation, max_cosets: int) -> CayleyTable:
     def coincidence(a: int, b: int) -> None:
         queue: list[int] = []
         merge(a, b, queue)
-        while queue:
-            dead = queue.pop(0)
+        for dead in queue:  # merge appends while this runs, so the queue drains first in, first out
             for col in range(nletters):
                 image = table[dead][col]
                 if image is None:

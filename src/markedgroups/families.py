@@ -117,13 +117,14 @@ def load_manifest(path: str | Path) -> FamilySpec:
 
     The limit presentation is a file path relative to the manifest; the
     member presentation is inline text with $i substituted.  Other keys,
-    such as "notes", are ignored.  A manifest that is not shaped like
-    this raises ValueError naming what is wrong; an error in the limit
-    file names that file.
+    such as "notes", are ignored, and so is a leading UTF-8 byte-order
+    mark, in the manifest as in the limit file.  A manifest that is not
+    shaped like this raises ValueError naming what is wrong; an error in
+    the limit file names that file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as err:  # bad syntax or UTF-8, or nested too deeply
         raise ValueError(f"manifest {path}: not valid JSON: {err}") from None
 

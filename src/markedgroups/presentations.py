@@ -283,9 +283,12 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def read_presentation(path) -> Presentation:
-    """Parse the UTF-8 presentation file at ``path``; a ValueError names the path."""
+    """Parse the UTF-8 presentation file at ``path``; a ValueError names the path.
+
+    A leading byte-order mark, as some editors write, is skipped.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return parse_presentation(handle.read())
     except ValueError as err:  # a syntax error, or bytes that are not UTF-8
         raise ValueError(f"{path}: {err}") from None

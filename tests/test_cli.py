@@ -481,12 +481,26 @@ def test_empty_radius_list_is_an_input_error(command, capsys):
     # K_i = 2: members <x, y | y^i, [x,y] y^i> of Z x Z/i converging to Z^2
     (["--family", str(REPO / "tests" / "data" / "families" / "zxz_k2.json"), "--i", "3..6", "--n", "2,4,6",
       "--format", "json"], "zxzK2_3-6_n2-4-6.json"),
+    # K_i = (i+3)/2: for odd i, members <x, y | y^i, [x,y^2]> of Z x Z/i converging to Z^2
+    (["--family", str(REPO / "tests" / "data" / "families" / "zxz_kgrow.json"), "--i", "3,5,7,9", "--n", "2,4,6",
+      "--format", "json"], "zxzKgrow_3-5-7-9_n2-4-6.json"),
 ])
 def test_verify_theorem_matches_golden_report(args, fixture, capsys):
     # fixtures were captured before values were reused across reports; reuse must not show
     code, out, err = run_cli(["verify-theorem", *args], capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / fixture).read_text(encoding="utf-8")
+
+
+def test_growing_k_family_at_an_even_index_exits_3(capsys):
+    # for even i, [x,y] is nontrivial in <x, y | y^i, [x,y^2]>, but abelian:0,$i calls it trivial,
+    # so the search for its derivation runs out of caps rather than verify a false report
+    family = str(REPO / "tests" / "data" / "families" / "zxz_kgrow.json")
+    code, out, err = run_cli(["verify-theorem", "--family", family, "--i", "4", "--n", "2,4"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "not found: no derivation of 'x y x^-1 y^-1' within caps (length 12, nodes 1000000); explored 1926 states\n"
+    )
 
 
 def test_verify_theorem_matches_golden_input_error(capsys):
@@ -625,14 +639,20 @@ def test_presentation_file_error_names_the_file(culprit, content, argv, message,
     # no word of Z^2 up to length 2 is trivial, so no search would reject it
     ("0", "--node-cap", ["dehn", "-p", str(AREA_GOLDEN / "z2.pres"), "--oracle", "abelian:0,0", "--n", "2"]),
     ("0", "--node-cap", ["verify-theorem", "--family", "zxz", "--i", "3", "--n", "2"]),
-], ids=["-3", "0", "node-cap-area", "node-cap-dehn", "node-cap-verify-theorem"])
+    # radii are at least 0
+    ("-1", "--radius", ["rel-ball", "--family", "zxz", "--i", "3"]),
+    ("-1", "--lambda-max", ["dist", "--family", "zxz", "--i", "3"]),
+    ("-1", "--lambda-max", ["converge", "--family", "zxz", "--i", "3"]),
+], ids=["-3", "0", "node-cap-area", "node-cap-dehn", "node-cap-verify-theorem", "radius-rel-ball",
+        "lambda-max-dist", "lambda-max-converge"])
 def test_workers_below_one_is_an_input_error(value, flag, command, capsys):
+    low = 0 if flag in ("--radius", "--lambda-max") else 1
     with pytest.raises(SystemExit) as exit_info:
         run_cli([*command, flag, value], capsys)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{flag}: must be at least 1, got {value}" in captured.err
+    assert f"{flag}: must be at least {low}, got {value}" in captured.err
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -734,6 +754,31 @@ def test_benchmark_jobs_parse(monkeypatch):
     assert {argv[0] for argv in argvs} == {"area", "dehn", "rel-ball", "dist", "converge", "verify-theorem"}
     for argv in argvs:
         assert parser.parse_args(argv).command == argv[0]
+
+
+# Every option each subcommand declares, by its long flag, with a value it accepts
+DECLARED_OPTIONS = {
+    "area": ["--presentation", "z2.pres", "--word", "[x,y]", "--format", "csv", "--cache-dir", "c",
+             "--length-cap", "9", "--node-cap", "7"],
+    "dehn": ["--presentation", "z2.pres", "--oracle", "abelian:0,0", "--family", "zxz", "--i", "3", "--n", "2,4",
+             "--format", "json", "--cache-dir", "c", "--length-cap", "9", "--node-cap", "7", "--workers", "2"],
+    "rel-ball": ["--presentation", "z2.pres", "--oracle", "abelian:0,0", "--family", "zxz", "--i", "3",
+                 "--radius", "0", "--format", "csv", "--cache-dir", "c"],
+    "dist": ["--p1", "a.pres", "--oracle1", "free", "--p2", "b.pres", "--oracle2", "coset", "--family", "zxz",
+             "--i", "3", "--format", "json", "--cache-dir", "c", "--lambda-max", "0"],
+    "converge": ["--family", "zxz", "--i", "3..5", "--format", "csv", "--cache-dir", "c", "--lambda-max", "12"],
+    "verify-theorem": ["--family", "zxz", "--i", "3..5", "--n", "2,4", "--format", "json", "--cache-dir", "c",
+                       "--length-cap", "9", "--node-cap", "7", "--workers", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(DECLARED_OPTIONS))
+def test_each_subcommand_parses_exactly_the_options_it_declares(command):
+    # an option dropped from a subcommand is a parse error here, and one added shows as an extra key
+    argv = DECLARED_OPTIONS[command]
+    args = build_parser().parse_args([command, *argv])
+    given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv[::2], argv[1::2])}
+    assert {dest: str(value) for dest, value in vars(args).items()} == {"command": command, **given}
 
 
 # One worker pool per command

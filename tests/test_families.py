@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from markedgroups.area import Caps
@@ -121,3 +123,20 @@ def test_manifest_round_trip(tmp_path):
     assert {tuple(r.letters) for r in pres.relators} == {(1, 1), (1,) * 6}
     assert oracle.table.cosets == 2  # gcd(2, 6)
     assert get_family(str(manifest)).name == "evenCyclic"
+
+
+def test_manifest_and_limit_file_may_start_with_a_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    limit = b"gens: x y\nrels: [x,y]\n"
+    (tmp_path / "limit.pres").write_bytes(limit)
+    (tmp_path / "bom.pres").write_bytes(bom + limit)
+    manifest = {
+        "name": "zxzManifest",
+        "valid_i": 3,
+        "limit": {"presentation": "limit.pres", "oracle": "abelian:0,0"},
+        "member_template": {"presentation": "gens: x y\nrels: [x,y]; y^$i", "oracle": "abelian:0,$i"},
+    }
+    (tmp_path / "plain.json").write_bytes(json.dumps(manifest).encode())
+    manifest["limit"]["presentation"] = "bom.pres"
+    (tmp_path / "bom.json").write_bytes(bom + json.dumps(manifest).encode())
+    assert load_manifest(tmp_path / "bom.json") == load_manifest(tmp_path / "plain.json")

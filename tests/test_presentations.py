@@ -7,6 +7,7 @@ from markedgroups.presentations import (
     max_relator_length,
     parse_presentation,
     parse_word,
+    read_presentation,
     symmetrize,
 )
 from markedgroups.words import invert_letters, make_word
@@ -198,3 +199,10 @@ def test_presentation_constructor_validation():
         Presentation(("x",), (make_word(1, (1, 1)), make_word(1, (1, 1))))
     with pytest.raises(ValueError):
         Presentation((), ())
+
+
+def test_presentation_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = b"gens: x y\nrels: [x,y]; x^2\n"
+    (tmp_path / "plain.pres").write_bytes(text)
+    (tmp_path / "bom.pres").write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_presentation(tmp_path / "bom.pres") == read_presentation(tmp_path / "plain.pres")
