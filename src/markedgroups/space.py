@@ -21,11 +21,12 @@ Both walk states, not words, when the oracles are state automata (see
 - :func:`rel_ball`, and ``dehn`` through :func:`trivial_letters`, run a
   depth-first search over reduced prefixes and drop a prefix once its
   ``identity_distance`` exceeds the letters left.  The walk keeps a
-  transition row per state, so a state with a row is stepped once per
-  letter; rows are added only while the table has at most ``radius``
-  more rows than trivial words found, and below a state without a row
-  the walk steps at every prefix.  A :class:`RelationBall` keeps the words in the
-  walk's length-lex order, which is the order it prints them in.
+  transition row per state, so a state with a kept row is stepped once
+  per letter; rows are kept only while the table has at most ``radius``
+  more rows than trivial words found, and a state met after that is
+  stepped through a spare row that is dropped once used.  A
+  :class:`RelationBall` keeps the words in the walk's length-lex order,
+  which is the order it prints them in.
 
 When an oracle has no automaton (``start`` returns None), the walk
 iterates :func:`enumerate_ball` in length-lex order and asks
@@ -114,14 +115,15 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
     The walk steps each oracle state at most once per letter: ``rows``
     maps a state to one ``(next state, identity distance)`` slot per
     signed letter, filled the first time a prefix ending in that state
-    needs it.  A new row is added only while ``len(rows) <= len(found) +
+    needs it.  A new row is kept only while ``len(rows) <= len(found) +
     radius``, so the table never holds more than ``radius + 1`` rows
     beyond the words found.  The slack lets the states of the first
     descent, met before any nonempty word closes, keep their rows
     (without it Z x Z/3 at radius 8 takes 388 steps instead of 90).
-    Below a state that gets no row, :func:`_walk_direct` steps the
-    oracle at every prefix; where states never repeat, as in a free
-    group, that is nearly the whole walk.
+    A state met while the table is full gets a spare row, filled and
+    read the same way and dropped once its letters are pushed, so it is
+    stepped again whenever the walk meets it again; where states never
+    repeat, as in a free group, nearly every row is a spare one.
 
     When the oracle has no automaton, every word of
     :func:`enumerate_ball` is put to :meth:`Oracle.decide` in length-lex
@@ -140,15 +142,14 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
     stack = [((), state, 0)]  # (letters, state, identity distance)
     push, pop = stack.append, stack.pop
     while stack:
-        entry = letters, state, d = pop()
+        letters, state, d = pop()
         room = radius - len(letters) - 1
         if room >= 0:
             row = rows.get(state)
             if row is None:
-                if len(rows) > len(found) + radius:
-                    _walk_direct(oracle, alphabet, radius, [entry], found)
-                    continue
-                row = rows[state] = [None] * len(alphabet)
+                row = [None] * len(alphabet)
+                if len(rows) <= len(found) + radius:
+                    rows[state] = row
         if d == 0:
             found.append(letters)
         if room < 0:
@@ -165,26 +166,6 @@ def trivial_letters(oracle: Oracle, ngens: int, radius: int) -> list[tuple[int, 
                     push((letters + (x,), nxt, d))
     found.sort(key=len)
     return found
-
-
-def _walk_direct(oracle: Oracle, alphabet: tuple[int, ...], radius: int, stack: list, found: list) -> None:
-    """Finish :func:`trivial_letters`' walk below the prefixes on ``stack``, stepping at every prefix."""
-    step, identity_distance = oracle.step, oracle.identity_distance
-    push, pop = stack.append, stack.pop
-    while stack:
-        letters, state, d = pop()
-        if d == 0:
-            found.append(letters)
-        room = radius - len(letters) - 1
-        if room < 0:
-            continue
-        back = -letters[-1] if letters else 0
-        for x in alphabet:
-            if x != back:
-                nxt = step(state, x)
-                d = identity_distance(nxt)
-                if d <= room:
-                    push((letters + (x,), nxt, d))
 
 
 def rel_ball(pres: Presentation, oracle: Oracle, radius: int) -> RelationBall:
