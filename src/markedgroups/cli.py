@@ -6,7 +6,8 @@ cache without it) and only the options it reads: --length-cap and
 --node-cap (area, dehn, verify-theorem), --workers (dehn,
 verify-theorem), --lambda-max (dist, converge).  Each option is
 declared once, in ``_OPTIONS``, and each subcommand once, in
-``_COMMANDS``, which both ``build_parser`` and ``main`` read.  Integer
+``_COMMANDS``, which both ``build_parser`` and ``main`` read; ``main``
+gives options only to the subcommand it runs.  Integer
 options are bounded by their type: --node-cap and --workers are at
 least 1, --radius and --lambda-max at least 0, and a smaller value is
 a parse error that names the flag.
@@ -240,14 +241,13 @@ def cmd_dehn(args) -> int:
     length_cap = _default_length_cap(args, max(radii), pres)
     caps = Caps(length_cap, args.node_cap)
     cache = ResultCache(args.cache_dir)
-    # a key serialises the presentation and loads hashlib, so none is built without a cache
-    keys = dict.fromkeys(radii)
-    if cache.enabled:
-        keys = {
-            n: ResultCache.make_key(op="dehn", presentation=pres.to_text(), oracle=oracle.spec, n=n,
-                                    length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
-            for n in radii
-        }
+    # keys are plain text, cheap enough to build whether or not a cache is given
+    text = pres.to_text()
+    keys = {
+        n: ResultCache.make_key(op="dehn", presentation=text, oracle=oracle.spec, n=n,
+                                length_cap=caps.length_cap, node_cap=caps.node_cap, version=__version__)
+        for n in radii
+    }
     rows = {n: cache.get(key) for n, key in keys.items()}
     missing = [n for n, hit in rows.items() if not _is_dehn_row(hit, n)]
     with worker_pool(args.workers) as fan_out:
@@ -376,7 +376,13 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every subcommand is registered, so the top-level
+    help and the invalid-choice error list all six, but only the one ``argv``
+    invokes gets its options.  That is its first token not starting with '-',
+    which is the token argparse dispatches on, since no top-level option takes
+    a value.  Without ``argv`` every subcommand gets its options."""
+    invoked = None if argv is None else next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="markedgroups",
         description="Relation balls, marked-group distances, word areas and Dehn tables.",
@@ -385,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, options) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
+        if argv is not None and name != invoked:
+            continue
         for dest in options:
             flags, settings = _OPTIONS[dest]
             command.add_argument(*flags, required=dest in required, **settings)
@@ -392,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         code = handler(args)

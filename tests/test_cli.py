@@ -13,6 +13,7 @@ import pytest
 
 from conftest import run_cli, run_cli_subprocess
 
+from markedgroups.cache import ResultCache
 from markedgroups.cli import build_parser, main
 from markedgroups.dehn import CorollaryReport, TheoremReport
 from markedgroups.families import FamilySpec
@@ -424,6 +425,8 @@ DAMAGE = {
     "other_n": lambda text: json.dumps({"n": 2, "value": 0, "exact": True, "witnesses": []}),
     "exact_false": lambda text: text.replace('"exact": true', '"exact": false'),
     "deep": lambda text: "[" * 100000 + "]" * 100000,  # too deep for the JSON decoder
+    # the payload alone, as entries were written before they carried their key
+    "old_format": lambda text: json.dumps(json.loads(text)["payload"], indent=2) + "\n",
 }
 
 
@@ -455,12 +458,54 @@ def test_row_cached_under_an_older_version_is_a_miss(pres_dir, capsys, monkeypat
         m.setattr(importlib.import_module("markedgroups.cli"), "__version__", "0.1.0")
         assert run_cli([*argv, "--cache-dir", str(cache_dir)], capsys)[0] == 0
     (old,) = cache_dir.iterdir()
-    row = json.loads(old.read_text(encoding="utf-8"))
-    old.write_text(json.dumps({**row, "value": row["value"] + 1}), encoding="utf-8")
+    entry = json.loads(old.read_text(encoding="utf-8"))
+    entry["payload"]["value"] += 1
+    old.write_text(json.dumps(entry), encoding="utf-8")
     code, warm, err = run_cli([*argv, "--cache-dir", str(cache_dir)], capsys)
     assert (code, err) == (0, "")
     assert warm == cold
     assert len(list(cache_dir.iterdir())) == 2
+
+
+def test_entry_of_another_key_is_a_miss(pres_dir, capsys):
+    # a copied or renamed file: the entry a run at another length cap wrote, its value changed
+    cache_dir = pres_dir / "cache"
+    argv = ["dehn", "--family", "zxz", "--i", "4", "--n", "4", "--format", "json", "--cache-dir", str(cache_dir)]
+    code, cold, _ = run_cli(argv, capsys)
+    assert code == 0
+    (entry,) = cache_dir.iterdir()
+    text = entry.read_text(encoding="utf-8")
+    assert run_cli([*argv, "--length-cap", "14"], capsys)[0] == 0
+    (other,) = set(cache_dir.iterdir()) - {entry}
+    foreign = json.loads(other.read_text(encoding="utf-8"))
+    foreign["payload"]["value"] += 1
+    entry.write_text(json.dumps(foreign), encoding="utf-8")
+    code, again, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert again == cold
+    assert entry.read_text(encoding="utf-8") == text
+
+
+def test_keys_sharing_a_bucket_never_serve_each_others_rows(pres_dir, capsys, monkeypatch):
+    # every key files its entry in one bucket, as keys whose CRC-32 collide do
+    cache_dir = pres_dir / "cache"
+    bucket = cache_dir / "00000000.json"
+    monkeypatch.setattr(ResultCache, "_path", lambda self, key: bucket)
+    argv = ["dehn", "--family", "zxz", "--i", "4", "--format", "json"]
+    # each run, then the (n, length cap) of the last key written, which the bucket holds;
+    # the second run hits; the third and fifth share the n of the run before under another key, so miss
+    runs = [(["--n", "2,4"], (4, 12)), (["--n", "4"], (4, 12)), (["--n", "4", "--length-cap", "14"], (4, 14)),
+            (["--n", "2,4"], (4, 12)), (["--n", "4", "--length-cap", "14"], (4, 14))]
+    for extra, last in runs:
+        code, cold, _ = run_cli([*argv, *extra], capsys)
+        assert code == 0
+        code, cached, err = run_cli([*argv, *extra, "--cache-dir", str(cache_dir)], capsys)
+        assert (code, err) == (0, "")
+        assert cached == cold
+        assert list(cache_dir.iterdir()) == [bucket]
+        entry = json.loads(bucket.read_text(encoding="utf-8"))
+        key = json.loads(entry["key"])
+        assert (key["n"], key["length_cap"]) == last and entry["payload"]["n"] == key["n"]
 
 
 @pytest.mark.parametrize("command", [
@@ -781,6 +826,25 @@ def test_each_subcommand_parses_exactly_the_options_it_declares(command):
     assert {dest: str(value) for dest, value in vars(args).items()} == {"command": command, **given}
 
 
+@pytest.mark.parametrize("command", list(DECLARED_OPTIONS))
+def test_parser_built_for_argv_parses_and_helps_as_the_full_one(command, capsys):
+    # only the invoked subcommand gets its options; what it parses and both help texts stay the same
+    argv = [command, *DECLARED_OPTIONS[command]]
+    full, built = build_parser(), build_parser(argv)
+    assert vars(built.parse_args(argv)) == vars(full.parse_args(argv))
+    assert built.format_help() == full.format_help()
+    helps = []
+    for parser in (full, built):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: markedgroups {command} " in helps[0]
+    for other in DECLARED_OPTIONS.keys() - {command}:  # no other subcommand has its options
+        with pytest.raises(SystemExit):
+            built.parse_args([other, *DECLARED_OPTIONS[other]])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # One worker pool per command
 
 def _exit_worker(pres, caps, letters):
@@ -920,8 +984,8 @@ FIRST_USE_MODULES = ("concurrent.futures", "multiprocessing", "hashlib", "fracti
     # below the pool budget a --workers 2 command starts no pool, so loads none
     (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--workers", "2"], []),
     (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--workers", "1"], []),
-    # only cache keys hash
-    (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--cache-dir", "{tmp}"], ["hashlib"]),
+    # no command loads hashlib
+    (["dehn", "--family", "zxz", "--i", "3", "--n", "4", "--cache-dir", "{tmp}"], []),
 ], ids=["import", "area", "converge", "dehn-workers-2", "dehn-workers-1", "dehn-cache-dir"])
 def test_modules_load_at_first_use(argv, loaded, tmp_path):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
