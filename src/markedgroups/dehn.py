@@ -20,9 +20,11 @@ The limsup itself is not finitely observable, so the reports state only
 what was computed, for the tested members.  Each value is exact within
 the caps, since a search that cannot show its minimum raises instead.
 
-:func:`verify_family` computes one Dehn table per group and reads the
-uniform bound delta_i(n) <= M * delta(n), M = max_i delta_i(L), off the
-reports of each radius, with no search of its own.
+:func:`verify_family` computes one Dehn table per group and reads
+everything else off the tables: the ball agreement from their counts of
+trivial words per length, and the uniform bound delta_i(n) <= M *
+delta(n), M = max_i delta_i(L), from the reports of each radius, with no
+search of its own.
 
 The area searches of a table run through a ``map``: the builtin one, or
 the one :func:`worker_pool` gives a command, which runs searches in
@@ -59,7 +61,7 @@ from itertools import groupby, islice
 from .area import Caps, area_search
 from .oracles import Oracle
 from .presentations import Presentation, _cyclic_reduce, apply_symmetry, max_relator_length, splice_symmetries
-from .space import distance, trivial_letters
+from .space import trivial_letters
 from .words import Word, letters_to_str, signed_letters, str_to_letters
 
 __all__ = [
@@ -124,11 +126,12 @@ class DehnValue:
 @dataclass(frozen=True)
 class DehnTable:
     """A Dehn table up to radius n: ``lengths[l]`` is the largest area of a
-    nonempty trivial word of length exactly l with the first
-    :data:`MAX_WITNESSES` such words in length-lex order, else ``(0, ())``."""
+    nonempty trivial word of length exactly l, the first
+    :data:`MAX_WITNESSES` such words in length-lex order and the number
+    of such words, else ``(0, (), 0)``."""
 
     n: int
-    lengths: tuple[tuple[int, tuple[Word, ...]], ...]
+    lengths: tuple[tuple[int, tuple[Word, ...], int], ...]
 
     def at(self, n: int) -> DehnValue:
         """The entry for radius n: the first words of maximal area over the
@@ -136,8 +139,8 @@ class DehnTable:
         if not 0 <= n <= self.n:
             raise ValueError(f"radius {n} is outside this table's range 0..{self.n}")
         upto = self.lengths[: n + 1]
-        vmax = max(value for value, _ in upto)
-        witnesses = [w for value, words in upto if value == vmax for w in words]
+        vmax = max(value for value, _, _ in upto)
+        witnesses = [w for value, words, _ in upto if value == vmax for w in words]
         return DehnValue(n, vmax, tuple(witnesses[:MAX_WITNESSES]))
 
 
@@ -243,10 +246,11 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
 
     The trivial words come from :func:`trivial_letters` in length-lex
     order, less the empty word.  For each length the table keeps the
-    largest area and the first :data:`MAX_WITNESSES` words of that area, from which
-    :meth:`DehnTable.at` reads the entry of every radius up to n.  The
-    caps do not depend on the radius, so that entry is the one a table
-    computed at the smaller radius would give.
+    largest area, the first :data:`MAX_WITNESSES` words of that area and
+    the number of trivial words; :meth:`DehnTable.at` reads the entry of
+    every radius up to n off the first two.  The caps do not depend on
+    the radius, so that entry is the one a table computed at the smaller
+    radius would give.
 
     Areas are searched once per class of trivial words (see
     :func:`_orbits`): a word's class is that of its cyclic core under
@@ -278,12 +282,12 @@ def dehn(pres: Presentation, oracle: Oracle, n: int, caps: Caps, fan_out=map) ->
     reps, word_orbit = _orbits(pres, trivial)
     rep_values = [value for value, _ in fan_out(partial(_area_value, pres, caps), reps)]
     values = [rep_values[orbit] for orbit in word_orbit]
-    lengths = [(0, ())] * (n + 1)
+    lengths = [(0, (), 0)] * (n + 1)
     for length, group in groupby(zip(trivial, values), key=lambda item: len(item[0])):
         group = list(group)
         vmax = max(value for _, value in group)
         best = (Word(pres.ngens, letters) for letters, value in group if value == vmax)
-        lengths[length] = (vmax, tuple(islice(best, MAX_WITNESSES)))
+        lengths[length] = (vmax, tuple(islice(best, MAX_WITNESSES)), len(group))
     return DehnTable(n, tuple(lengths))
 
 
@@ -432,13 +436,16 @@ def verify_family(
 
     Each quantity is computed once, and the first failure is that of the
     first step to fail in this order: member by member, in the order of
-    ``i_values`` (a repeated index once), the quotient check, the ball
-    agreement scanned up to the largest radius, one Dehn table at
-    max(largest radius, L) and K_i; then one limit Dehn table at the
-    largest radius.  A report at radius n reads
-    min(agreement, n), since the scan stops at the first disagreement,
-    and its Dehn values off the tables.  Each corollary is read off the
-    reports of its radius.
+    ``i_values`` (a repeated index once), the quotient check, one Dehn
+    table at max(largest radius, L) and K_i; then one limit Dehn table at
+    the largest radius.  A report at radius n reads its Dehn values off
+    the tables, and its ball agreement too: the first length m <= n at
+    which the member's and the limit's tables count different numbers of
+    trivial words, less one, or n if the counts agree through n.  The
+    quotient check puts the limit's ball inside the member's, so equal
+    counts mean equal balls, and the value is the agreement radius
+    :func:`~markedgroups.space.distance` finds, capped at n.  Each
+    corollary is read off the reports of its radius.
 
     Every Dehn table of the call runs its area searches through
     ``fan_out`` (see :func:`dehn`), so one :func:`worker_pool` opened by
@@ -463,17 +470,18 @@ def verify_family(
                 f"family {family.name!r}: member {i} is not a quotient of the limit; "
                 "K_i does not exist"
             )
-        agreement = distance(member_pres, member_oracle, limit_pres, limit_oracle, top).lam
         table = dehn(member_pres, member_oracle, max(top, L), caps, fan_out)
-        members[i] = (agreement, table, compute_K(limit_pres, member_pres, caps))
+        members[i] = (table, compute_K(limit_pres, member_pres, caps))
     limit_table = dehn(limit_pres, limit_oracle, top, caps, fan_out)
     reports, corollaries = [], []
     for n in radii:
         delta_n = limit_table.at(n).value
         row = []
         for i in i_values:
-            agreement, table, K = members[i]
-            row.append(TheoremReport(i, n, min(agreement, n), table.at(n).value, delta_n, K, table.at(L).value, L))
+            table, K = members[i]
+            # the quotient check puts the limit's ball inside the member's, so equal counts mean equal balls
+            agreement = next((m - 1 for m in range(1, n + 1) if table.lengths[m][2] != limit_table.lengths[m][2]), n)
+            row.append(TheoremReport(i, n, agreement, table.at(n).value, delta_n, K, table.at(L).value, L))
         reports += row
         corollaries.append(CorollaryReport.from_reports(family.name, row))
     return reports, corollaries

@@ -87,6 +87,16 @@ def test_area_not_found_pickles_with_its_word(d3):
     assert str(exc) == "no derivation of 'a b a b^-1 a^-1 b^-1' within caps (length 12, nodes 3); explored 3 states"
 
 
+@pytest.mark.parametrize("length_cap, states", [(4, 1), (6, 5), (8, 49)])
+def test_bound_pass_that_runs_out_of_words_raises(length_cap, states):
+    # [a,c] is nontrivial in <a, b, c | [a,b]>: both passes run out of
+    # words under the length cap before they reach the node cap
+    pres = parse_presentation("gens: a b c\nrels: [a,b]")
+    with pytest.raises(AreaNotFound) as info:
+        area_search(pres, parse_word("[a,c]", pres.gen_names), length_cap, 10**6)
+    assert info.value.stats.states_explored == states
+
+
 def test_node_cap_admits_the_identity_beyond_the_cap(a3):
     # a^6 -> a^3 -> "" keeps 3 words before the identity; the identity,
     # which ends the search, is admitted past the cap, a fourth word is not

@@ -557,10 +557,10 @@ def test_verify_theorem_matches_golden_input_error(capsys):
 @pytest.mark.parametrize("args, expected", [
     # one Dehn table per group: each member's at max(4, L) = 4, the limit's at 4
     (["--family", "zxz", "--i", "3..6", "--n", "2,4"],
-     {"dehn": 5, "compute_K": 4, "quotient_check": 4, "distance": 4, "member": 4}),
+     {"dehn": 5, "compute_K": 4, "quotient_check": 4, "distance": 0, "member": 4}),
     # dihedral has L = 2: the member's table and the limit's, both at 6
     (["--family", "dihedral", "--i", "6", "--n", "4,6", "--workers", "2"],
-     {"dehn": 2, "compute_K": 1, "quotient_check": 1, "distance": 1, "member": 1}),
+     {"dehn": 2, "compute_K": 1, "quotient_check": 1, "distance": 0, "member": 1}),
 ])
 def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monkeypatch):
     # the package attribute markedgroups.dehn is the function, so fetch the module
@@ -576,12 +576,15 @@ def test_verify_theorem_computes_each_quantity_once(args, expected, capsys, monk
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("dehn", "compute_K", "quotient_check", "distance"):
+    for name in ("dehn", "compute_K", "quotient_check"):
         count(dehn_module, name, name)
+    # the ball agreement is read off the Dehn tables, with no pair search
+    assert not hasattr(dehn_module, "distance")
+    count(importlib.import_module("markedgroups.space"), "distance", "distance")
     count(FamilySpec, "member", "member")
     code, _, _ = run_cli(["verify-theorem", *args], capsys)
     assert code == 0
-    assert counts == expected
+    assert counts == Counter(expected)
 
 
 @pytest.mark.parametrize("group, radii", [
@@ -1070,8 +1073,8 @@ def test_reports_label_the_parsed_index(argv, field, capsys):
 
 def test_unknown_verdict_of_the_agreement_scan_comes_first(tmp_path, capsys):
     # The member is trivial, but its derivation oracle answers unknown past
-    # length 3.  The agreement scan runs to the largest radius, 4, at the
-    # member's first report, before the delta_i(2) search exhausts its caps.
+    # length 3.  The member's Dehn table walks its ball to the largest
+    # radius, 4, before the delta_i(2) search exhausts its caps.
     (tmp_path / "limit.pres").write_text("gens: a\nrels: a\n", encoding="utf-8")
     (tmp_path / "semi.json").write_text(json.dumps({
         "name": "semi",
@@ -1086,7 +1089,39 @@ def test_unknown_verdict_of_the_agreement_scan_comes_first(tmp_path, capsys):
         "inconclusive: oracle 'derivation:3,1000' returned unknown for a word of length 4; "
         "raise the caps or use an exact oracle\n"
     )
-    # with the largest radius 2 the scan decides every word and the search fails
+    # with the largest radius 2 the walk decides every word and the search fails
     code, out, err = run_cli([*argv, "--n", "2"], capsys)
     assert (code, out) == (3, "")
     assert err == "not found: no derivation of 'a' within caps (length 4, nodes 1); explored 1 states\n"
+
+
+def test_unknown_verdict_of_the_limit_comes_at_the_limit_table(tmp_path, capsys, monkeypatch):
+    # The limit is trivial, but its derivation oracle answers unknown past
+    # length 3.  The member's table and K_i come first; the limit's table
+    # walks to the largest radius, 4, and raises there.
+    dehn_module = importlib.import_module("markedgroups.dehn")
+    compute_K, computed = dehn_module.compute_K, []
+
+    def recording_K(*args):
+        computed.append(compute_K(*args))
+        return computed[-1]
+
+    monkeypatch.setattr(dehn_module, "compute_K", recording_K)
+    (tmp_path / "limit.pres").write_text("gens: a\nrels: a\n", encoding="utf-8")
+    (tmp_path / "semi.json").write_text(json.dumps({
+        "name": "semi",
+        "valid_i": 1,
+        "limit": {"presentation": "limit.pres", "oracle": "derivation:3,1000"},
+        "member_template": {"presentation": "gens: a\nrels: a^$i", "oracle": "coset:10"},
+    }), encoding="utf-8")
+    argv = ["verify-theorem", "--family", str(tmp_path / "semi.json"), "--i", "1"]
+    code, out, err = run_cli([*argv, "--n", "2,4"], capsys)
+    assert (code, out, computed) == (4, "", [1])
+    assert err == (
+        "inconclusive: oracle 'derivation:3,1000' returned unknown for a word of length 4; "
+        "raise the caps or use an exact oracle\n"
+    )
+    # with the largest radius 2 the limit's walk decides every word
+    code, out, _ = run_cli([*argv, "--n", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert [r["ball_agreement"] for r in json.loads(out)["reports"]] == [2]

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +23,14 @@ from markedgroups.dehn import (
     verify_family,
     worker_pool,
 )
-from markedgroups.families import builtin_families
+from markedgroups.families import builtin_families, load_manifest
 from markedgroups.oracles import UnknownVerdictError, build_oracle
 from markedgroups.presentations import parse_presentation
-from markedgroups.space import trivial_letters
+from markedgroups.space import distance, trivial_letters
 from markedgroups.words import letters_key, make_word
 
 CAPS = Caps(14, 10**6)
+FAMILIES = Path(__file__).parent / "data" / "families"
 
 
 def fam(name):
@@ -385,6 +387,22 @@ def test_verify_family_reads_each_agreement_off_one_scan():
     assert [r.applicable for r in reports] == [True, False, False]
 
 
+@pytest.mark.parametrize("family, i_values", [
+    ("zxz", range(2, 8)),
+    ("dihedral", range(2, 5)),
+    ("zxz_k2.json", range(3, 7)),
+    ("zxz_kgrow.json", (3, 5, 7)),
+])
+def test_ball_agreement_is_the_distance_capped_at_the_radius(family, i_values):
+    # the agreement read off the tables' counts of trivial words is the pair search's, capped at n
+    family = load_manifest(FAMILIES / family) if family.endswith(".json") else fam(family)
+    radii = (2, 4, 6)
+    reports, _ = verify_family(family, i_values, radii, CAPS)
+    limit = family.limit()
+    lams = {i: distance(*family.member(i), *limit, max(radii)).lam for i in i_values}
+    assert [r.ball_agreement for r in reports] == [min(lams[r.i], r.n) for r in reports]
+
+
 def test_verify_family_computes_member_by_member_then_the_limit(monkeypatch):
     # the order the verify_family docstring states: a first failure is that of the first step to fail
     dehn_module = importlib.import_module("markedgroups.dehn")
@@ -400,18 +418,15 @@ def test_verify_family_computes_member_by_member_then_the_limit(monkeypatch):
         monkeypatch.setattr(dehn_module, name, wrapper)
 
     record("quotient_check", lambda limit_pres, oracle: oracle.spec)
-    record("distance", lambda pres, oracle, limit_pres, limit_oracle, lam: (oracle.spec, lam))
     record("dehn", lambda pres, oracle, n, caps, fan_out: (oracle.spec, n))
     record("compute_K", lambda limit_pres, pres, caps: pres.to_text())
     # zxz has L = 4; index 4 is repeated and computed once
     reports, _ = verify_family(fam("zxz"), (4, 3, 4), (3, 2), CAPS)
     assert calls == [
         ("quotient_check", "abelian:0,4"),
-        ("distance", ("abelian:0,4", 3)),
         ("dehn", ("abelian:0,4", 4)),
         ("compute_K", "gens: x y\nrels: x y x^-1 y^-1; y^4\n"),
         ("quotient_check", "abelian:0,3"),
-        ("distance", ("abelian:0,3", 3)),
         ("dehn", ("abelian:0,3", 4)),
         ("compute_K", "gens: x y\nrels: x y x^-1 y^-1; y^3\n"),
         ("dehn", ("abelian:0,0", 3)),

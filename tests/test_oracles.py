@@ -129,6 +129,13 @@ def test_quaternion_order_eight():
         ("gens: a b\nrels: a^4; b^2; (a b)^3", 24),    # S4
         ("gens: a b\nrels: a^2; b^2; [a,b]", 4),       # Klein four
         ("gens: a\nrels: a^10; a^15", 5),              # Z/gcd(10,15)
+        # the next four reach both coincidence paths: a merge through the
+        # image's inverse entry, and a coset that dies while its relators are scanned
+        ("gens: a\nrels: a^3; a^2", 1),
+        # a word is trivial iff its b exponent sum is 0 mod 3
+        ("gens: a b\nrels: b^-1 a^2 b^-1 a b^-1 a^-1; a", 3),
+        ("gens: a b\nrels: a b a^-1 b^-2; b a b^-1 a^-2", 1),
+        ("gens: a b c\nrels: b^-1 a b a c; b a b c^2; c b^2", 2),
     ],
 )
 def test_known_group_orders(text, order):
